@@ -23,11 +23,8 @@ using namespace bgr;
 CapacitySearchResult search_once(const CircuitSpec& spec) {
   Dataset design = generate_circuit(spec);
   MetricsRegistry::global().reset();
-  RouterOptions options;
-  options.path_search = PathSearchBackend::kAstar;
-  options.lookahead = LookaheadMode::kMap;
   return min_capacity_search(design.netlist, design.placement, design.tech,
-                             design.constraints, options);
+                             design.constraints, RouterOptions{});
 }
 
 bool transcripts_identical(const CapacitySearchResult& a,

@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the router's hot kernels:
-// Dijkstra / bridge-finding on routing-graph-sized graphs, density chart
+// reference Dijkstra / bridge-finding on routing-graph-sized graphs, density chart
 // updates, tentative-tree evaluation, and the end-to-end flow on a small
 // generated circuit.
 #include <benchmark/benchmark.h>
@@ -9,6 +9,7 @@
 #include "bgr/graph/small_graph.hpp"
 #include "bgr/metrics/experiment.hpp"
 #include "bgr/route/density.hpp"
+#include "bgr/route/path_search.hpp"
 #include "bgr/route/routing_graph.hpp"
 #include "bgr/timing/analyzer.hpp"
 
@@ -34,8 +35,12 @@ SmallGraph make_random_graph(std::int64_t vertices) {
 
 void BM_Dijkstra(benchmark::State& state) {
   const SmallGraph g = make_random_graph(state.range(0));
+  const std::vector<std::int32_t> terminals{g.vertex_count() - 1};
+  PathSearchScratch scratch;
+  std::vector<std::int32_t> tree;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.dijkstra(0));
+    benchmark::DoNotOptimize(path_search_tree(
+        g, 0, terminals, SmallGraph::kNone, scratch, &tree));
   }
 }
 BENCHMARK(BM_Dijkstra)->Arg(16)->Arg(64)->Arg(256);

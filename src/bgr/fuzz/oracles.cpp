@@ -1,7 +1,5 @@
 #include "bgr/fuzz/oracles.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <typeinfo>
 #include <vector>
@@ -186,8 +184,9 @@ std::string first_divergence(const PipelineResult& a,
         pa.sta_relaxations != pb.sta_relaxations) {
       return "phase '" + pa.name + "' statistics";
     }
-    // Pops and relaxations differ by construction between backends (that
-    // is A*'s whole point); compare them only when both runs used one.
+    // Pops and relaxations differ by construction between engines (that
+    // is the cache's whole point); compare them only when both runs used
+    // one.
     if (compare_path_effort &&
         (pa.path_searches != pb.path_searches ||
          pa.path_pops != pb.path_pops ||
@@ -202,17 +201,11 @@ std::string first_divergence(const PipelineResult& a,
 
 }  // namespace
 
-double steiner_dominance_tol_ps(double baseline_critical_ps,
-                                const FuzzOptions& options) {
-  return std::max(options.dominance_tol_ps,
-                  options.dominance_rel_tol * std::abs(baseline_critical_ps));
-}
-
 std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
                                       const FuzzOptions& options) {
   PipelineResult serial;
   if (auto failure =
-          run_pipeline(spec, 1, PathSearchBackend::kAstar, &serial)) {
+          run_pipeline(spec, 1, PathSearchBackend::kCached, &serial)) {
     return failure;
   }
 
@@ -224,9 +217,9 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
     return failure;
   }
 
-  // Oracle: the goal-oriented A* backend must reproduce the reference
-  // Dijkstra pipeline bit for bit — outcome, margins, artifacts — with
-  // only the search-effort counters allowed to differ.
+  // Oracle: the cached engine must reproduce the reference Dijkstra
+  // pipeline bit for bit — outcome, margins, artifacts — with only the
+  // search-effort counters allowed to differ.
   PipelineResult reference;
   if (auto failure =
           run_pipeline(spec, 1, PathSearchBackend::kDijkstra, &reference)) {
@@ -236,14 +229,14 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
       first_divergence(serial, reference, /*compare_path_effort=*/false);
   if (!backend_diverged.empty()) {
     return FuzzFailure{"backend-divergence",
-                       "astar vs dijkstra differ in " + backend_diverged};
+                       "cached vs dijkstra differ in " + backend_diverged};
   }
 
   // Oracle: the sharded deletion loop (DESIGN.md §13) must be bit-identical
   // to the unsharded serial greedy — outcome, margins, artifacts, and every
   // semantic phase statistic.
   PipelineResult unsharded;
-  if (auto failure = run_pipeline(spec, 1, PathSearchBackend::kAstar,
+  if (auto failure = run_pipeline(spec, 1, PathSearchBackend::kCached,
                                   &unsharded, /*shard_deletion=*/false)) {
     return failure;
   }
@@ -258,7 +251,7 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
   if (options.alt_threads > 1) {
     PipelineResult threaded;
     if (auto failure = run_pipeline(spec, options.alt_threads,
-                                    PathSearchBackend::kAstar, &threaded)) {
+                                    PathSearchBackend::kCached, &threaded)) {
       return failure;
     }
     const std::string diverged =
@@ -268,73 +261,6 @@ std::optional<FuzzFailure> check_spec(const CircuitSpec& spec,
                          "threads 1 vs " +
                              std::to_string(options.alt_threads) +
                              " differ in " + diverged};
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<FuzzFailure> check_steiner_spec(const CircuitSpec& spec,
-                                              const FuzzOptions& options) {
-  PipelineResult serial;
-  if (auto failure =
-          run_pipeline(spec, 1, PathSearchBackend::kSteiner, &serial)) {
-    return failure;
-  }
-
-  if (auto failure = check_roundtrip("route", serial.route_text, true)) {
-    return failure;
-  }
-
-  // Oracle: the steiner engine is allowed to differ from the reference,
-  // but must be deterministic with respect to the execution schedule —
-  // bit-identical across thread counts, including its own effort counters.
-  if (options.alt_threads > 1) {
-    PipelineResult threaded;
-    if (auto failure = run_pipeline(spec, options.alt_threads,
-                                    PathSearchBackend::kSteiner, &threaded)) {
-      return failure;
-    }
-    const std::string diverged =
-        first_divergence(serial, threaded, /*compare_path_effort=*/true);
-    if (!diverged.empty()) {
-      return FuzzFailure{"thread-divergence",
-                         "steiner threads 1 vs " +
-                             std::to_string(options.alt_threads) +
-                             " differ in " + diverged};
-    }
-  }
-
-  // Oracle: margin dominance against the reference union-of-shortest-paths
-  // pipeline. The steiner trees trade per-sink path length for total net
-  // capacitance, which under the lumped-C global model can only help — so
-  // no constraint may end up worse than the serial Dijkstra baseline
-  // beyond the tolerance, and the wirelengths are reported either way.
-  PipelineResult baseline;
-  if (auto failure =
-          run_pipeline(spec, 1, PathSearchBackend::kDijkstra, &baseline)) {
-    return failure;
-  }
-  const std::string lengths =
-      "; wirelength steiner " + std::to_string(serial.outcome.total_length_um) +
-      " um vs dijkstra " + std::to_string(baseline.outcome.total_length_um) +
-      " um";
-  if (serial.margins.size() != baseline.margins.size()) {
-    return FuzzFailure{"steiner-dominance",
-                       "constraint count diverged: steiner " +
-                           std::to_string(serial.margins.size()) +
-                           " vs dijkstra " +
-                           std::to_string(baseline.margins.size()) + lengths};
-  }
-  const double tol = steiner_dominance_tol_ps(
-      baseline.outcome.critical_delay_ps, options);
-  for (std::size_t i = 0; i < serial.margins.size(); ++i) {
-    if (serial.margins[i] < baseline.margins[i] - tol) {
-      return FuzzFailure{
-          "steiner-dominance",
-          "constraint " + std::to_string(i) + ": steiner margin " +
-              std::to_string(serial.margins[i]) + " ps < dijkstra " +
-              std::to_string(baseline.margins[i]) + " ps - tol " +
-              std::to_string(tol) + lengths};
     }
   }
   return std::nullopt;

@@ -1,9 +1,7 @@
 #include "bgr/graph/small_graph.hpp"
 
 #include <algorithm>
-#include <queue>
 
-#include "bgr/obs/metrics.hpp"
 
 namespace bgr {
 
@@ -130,48 +128,6 @@ std::vector<bool> SmallGraph::bridges() const {
     }
   }
   return is_bridge;
-}
-
-SmallGraph::ShortestPaths SmallGraph::dijkstra(std::int32_t source,
-                                               std::int32_t skip_edge) const {
-  BGR_CHECK(vertex_alive(source));
-  // Relaxation work is a pure function of the graph and its weights, so
-  // the totals are semantic even though scoring fans dijkstra calls out
-  // across threads; the inner loop accumulates locally and the counters
-  // take one atomic add per call.
-  static Counter& calls = MetricsRegistry::global().counter(
-      "graph.dijkstra_calls", MetricScope::kSemantic);
-  static Counter& relaxations = MetricsRegistry::global().counter(
-      "graph.dijkstra_relaxations", MetricScope::kSemantic);
-  std::int64_t relaxed = 0;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  ShortestPaths sp;
-  sp.dist.assign(static_cast<std::size_t>(vertex_count()), kInf);
-  sp.parent_edge.assign(static_cast<std::size_t>(vertex_count()), kNone);
-  using Item = std::pair<double, std::int32_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  sp.dist[static_cast<std::size_t>(source)] = 0.0;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
-    if (d > sp.dist[static_cast<std::size_t>(v)]) continue;
-    for (auto e : adjacency_[static_cast<std::size_t>(v)]) {
-      if (e == skip_edge) continue;
-      const Edge& ed = edges_[static_cast<std::size_t>(e)];
-      const auto w = other_end(e, v);
-      const double nd = d + ed.weight;
-      if (nd < sp.dist[static_cast<std::size_t>(w)]) {
-        sp.dist[static_cast<std::size_t>(w)] = nd;
-        sp.parent_edge[static_cast<std::size_t>(w)] = e;
-        heap.emplace(nd, w);
-        ++relaxed;
-      }
-    }
-  }
-  calls.add(1);
-  relaxations.add(relaxed);
-  return sp;
 }
 
 }  // namespace bgr

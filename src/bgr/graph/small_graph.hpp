@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "bgr/common/check.hpp"
@@ -13,8 +12,8 @@ namespace bgr {
 /// deletion — the core operation of the routing scheme — is O(degree), and
 /// ids stay stable for external annotation arrays.
 ///
-/// All algorithms (bridges, Dijkstra, connectivity) operate on the alive
-/// subgraph only.
+/// All algorithms (bridges, connectivity) operate on the alive subgraph
+/// only; shortest paths live in route/path_search.
 class SmallGraph {
  public:
   static constexpr std::int32_t kNone = -1;
@@ -78,17 +77,6 @@ class SmallGraph {
   /// indexed by edge id. Parallel edges are correctly non-bridges. Dead
   /// edges report false.
   [[nodiscard]] std::vector<bool> bridges() const;
-
-  struct ShortestPaths {
-    std::vector<double> dist;          // +inf if unreachable / dead vertex
-    std::vector<std::int32_t> parent_edge;  // kNone at source / unreachable
-  };
-
-  /// Dijkstra over the alive subgraph from `source`. `skip_edge` (if >= 0)
-  /// is treated as deleted — used for "tentative tree assuming deletion of
-  /// e" evaluations without mutating the graph.
-  [[nodiscard]] ShortestPaths dijkstra(std::int32_t source,
-                                       std::int32_t skip_edge = kNone) const;
 
   /// Vertex ids of the alive component containing `start`.
   [[nodiscard]] std::vector<std::int32_t> component_of(std::int32_t start) const;

@@ -118,9 +118,6 @@ RunReport make_run_report(const GlobalRouter& router,
                                                        : "lumped_c");
   options.set("concurrent_initial", opt.concurrent_initial);
   options.set("incremental_sta", opt.incremental_sta);
-  options.set("path_search", path_search_backend_name(opt.path_search));
-  options.set("lookahead",
-              opt.lookahead == LookaheadMode::kMap ? "map" : "exact");
   options.set("improvement_passes",
               static_cast<std::int64_t>(opt.improvement_passes));
 
@@ -182,6 +179,7 @@ RunReport make_run_report(const GlobalRouter& router,
   // only in --threads must compare semantically equal.
   JsonValue& run = report.section("run");
   run.set("wall_seconds", info.wall_seconds);
+  run.set("shared_registry", info.shared_registry);
   run.set("threads", static_cast<std::int64_t>(opt.threads));
   run.set("threads_resolved",
           static_cast<std::int64_t>(opt.threads == 0

@@ -49,6 +49,10 @@ struct RunReportInfo {
   bool constrained = true;
   double detailed_delay_ps = 0.0;
   double wall_seconds = 0.0;
+  /// True when other runs share the process-wide metrics registry (serve
+  /// jobs): the "metrics" section then also counts their work, read while
+  /// they run, so its counters need not be consistent with each other.
+  bool shared_registry = false;
 };
 
 /// Builds the `--metrics-out` document: design/options/result/stats are

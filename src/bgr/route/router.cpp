@@ -10,7 +10,6 @@
 #include "bgr/exec/parallel.hpp"
 #include "bgr/obs/metrics.hpp"
 #include "bgr/obs/trace.hpp"
-#include "bgr/route/steiner_tree.hpp"
 
 namespace bgr {
 
@@ -83,29 +82,9 @@ GlobalRouter::GlobalRouter(Netlist& netlist, Placement placement,
                       options.threads == 0 ? ExecContext::hardware_threads()
                                            : options.threads)),
       path_engine_(std::make_unique<PathSearchEngine>(options.path_search,
-                                                      exec_.get())) {
-  // The chip-level lookahead table is a pure function of the row geometry
-  // (columns may widen during routing; rows never change), so one build in
-  // the constructor serves every graph of every phase. Serve passes a
-  // cached table in; standalone runs build their own here.
-  register_lookahead_metrics();
-  register_steiner_metrics();
-  if (options_.lookahead == LookaheadMode::kMap &&
-      (options_.path_search == PathSearchBackend::kAstar ||
-       options_.path_search == PathSearchBackend::kSteiner) &&
-      options_.lookahead_table == nullptr) {
-    options_.lookahead_table =
-        std::make_shared<const ChipLookahead>(placement_.row_count(), tech_);
-  }
-}
+                                                      exec_.get())) {}
 
 GlobalRouter::~GlobalRouter() = default;
-
-const ChipLookahead* GlobalRouter::graph_lookahead() const {
-  return options_.lookahead == LookaheadMode::kMap
-             ? options_.lookahead_table.get()
-             : nullptr;
-}
 
 const RoutingGraph& GlobalRouter::net_graph(NetId net) const {
   const auto& g = graphs_.at(net);
@@ -126,15 +105,6 @@ NetId GlobalRouter::primary_of(NetId net) const {
 bool GlobalRouter::timing_active_for(NetId net) const {
   return options_.use_constraints &&
          !analyzer_->constraints_of_net(net).empty();
-}
-
-std::vector<double> GlobalRouter::sink_weights_for(NetId net) const {
-  std::vector<double> out;
-  if (options_.path_search != PathSearchBackend::kSteiner) return out;
-  const double w =
-      net.index() < net_sink_weight_.size() ? net_sink_weight_.at(net) : 0.0;
-  out.assign(graphs_.at(net)->terminal_vertices().size(), w);
-  return out;
 }
 
 std::int32_t GlobalRouter::net_density_width(NetId net) const {
@@ -166,12 +136,9 @@ void GlobalRouter::build_all_graphs() {
           graphs_[n] = std::make_unique<RoutingGraph>(netlist_, placement_,
                                                       tech_, *assignment_, n);
         }
-        // Attach inside the region so the A* goal heuristics (one exact
-        // multi-source Dijkstra per net, or the O(terminals) lookahead
-        // derivation) also build concurrently.
-        const std::vector<double> weights = sink_weights_for(n);
-        graphs_[n]->set_path_search(path_engine_.get(), graph_lookahead(),
-                                    &weights);
+        // Attach inside the region so the search caches (one reference
+        // Dijkstra per net) also build concurrently.
+        graphs_[n]->set_path_search(path_engine_.get());
       },
       /*grain=*/1);
   // Pre-size the score caches so the parallel warm-up never resizes a
@@ -779,9 +746,7 @@ void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
       graphs_[member] = std::make_unique<RoutingGraph>(
           netlist_, placement_, tech_, *assignment_, member, net, 1);
     }
-    const std::vector<double> weights = sink_weights_for(member);
-    graphs_[member]->set_path_search(path_engine_.get(), graph_lookahead(),
-                                     &weights);
+    graphs_[member]->set_path_search(path_engine_.get());
     route_metrics().graphs_built.add(1);
     route_metrics().graph_edges.record(graphs_[member]->graph().edge_count());
     scores_[member].assign(
@@ -1055,24 +1020,6 @@ RouteOutcome GlobalRouter::run() {
   widen_pitches_ = pipeline.widen_pitches;
   route_metrics().feed_cells.add(feed_cells_added_);
   route_metrics().widen_pitches.add(widen_pitches_);
-
-  // Cost-distance sink weights (steiner backend): derived from the same
-  // static zero-capacitance slacks the §3.1 net ordering uses, so they are
-  // fixed for the whole run — refine/reroute rebuilds see identical
-  // weights, and the inputs are relabeling- and thread-invariant.
-  net_sink_weight_.assign(static_cast<std::size_t>(netlist_.net_count()), 0.0);
-  if (options_.path_search == PathSearchBackend::kSteiner &&
-      options_.use_constraints) {
-    double scale_ps = 0.0;
-    for (const PathConstraint& pc : constraints_) {
-      scale_ps = std::max(scale_ps, pc.limit_ps);
-    }
-    for (const NetId n : netlist_.nets()) {
-      if (n.index() < slacks.size()) {
-        net_sink_weight_[n] = slack_to_weight(slacks.at(n), scale_ps);
-      }
-    }
-  }
 
   poll_cancel("routing-graph construction");
   density_ = std::make_unique<DensityMap>(placement_.channel_count(),

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -365,6 +366,10 @@ void Server::accept_loop() {
       if (tcp_stopping_.load(std::memory_order_relaxed)) break;
       continue;  // transient accept failure (EINTR, aborted handshake)
     }
+    // Events are small writes; without this, the second of two back-to-
+    // back events waits for the client's delayed ACK (Nagle).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::string client = "tcp:" + std::to_string(next_client++);
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;

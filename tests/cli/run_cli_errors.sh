@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Regression for the checked-choice CLI parses: a typo'd --path-search
-# engine must exit with the usage code (2) and the diagnostic must name
-# every registered engine, so the error doubles as documentation and a
-# newly added backend cannot be forgotten in the message.
+# Regression for the checked-choice CLI parses: a typo'd --shard-deletion
+# mode must exit with the usage code (2) and the diagnostic must name the
+# flag, list every accepted value and echo the rejected one. The removed
+# engine flags must be unknown options, not silently accepted.
 set -u
 
 cli="$1"
@@ -13,17 +13,17 @@ fail() {
   exit 1
 }
 
-out=$("$cli" @C1P1 --path-search bogus 2>&1)
+out=$("$cli" @C1P1 --shard-deletion bogus 2>&1)
 status=$?
-[ "$status" -eq 2 ] || fail "expected exit 2 for unknown engine, got $status"
+[ "$status" -eq 2 ] || fail "expected exit 2 for unknown mode, got $status"
 case "$out" in
-  *"--path-search"*) ;;
+  *"--shard-deletion"*) ;;
   *) fail "diagnostic does not name the flag" ;;
 esac
-for engine in astar dijkstra steiner; do
+for mode in on off; do
   case "$out" in
-    *"$engine"*) ;;
-    *) fail "diagnostic does not list engine '$engine'" ;;
+    *"$mode"*) ;;
+    *) fail "diagnostic does not list mode '$mode'" ;;
   esac
 done
 case "$out" in
@@ -32,8 +32,24 @@ case "$out" in
 esac
 
 # A missing value is rejected the same way, not read past argv.
-out=$("$cli" @C1P1 --path-search 2>&1)
+out=$("$cli" @C1P1 --shard-deletion 2>&1)
 status=$?
 [ "$status" -eq 2 ] || fail "expected exit 2 for missing value, got $status"
+case "$out" in
+  *"--shard-deletion"*"<missing>"*) ;;
+  *) fail "missing-value diagnostic does not name the flag" ;;
+esac
+
+# The path-search engine is not a command-line choice any more.
+for args in "--path-search astar" "--lookahead map"; do
+  # shellcheck disable=SC2086  # split the flag from its value on purpose
+  out=$("$cli" @C1P1 $args 2>&1)
+  status=$?
+  [ "$status" -eq 2 ] || fail "expected exit 2 for '$args', got $status"
+  case "$out" in
+    *"unknown option '${args%% *}'"*) ;;
+    *) fail "'$args' is not reported as an unknown option" ;;
+  esac
+done
 
 echo "cli_errors: ok"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Golden-file regression for the bgr_route CLI: routes the committed
-# tests/golden/golden_design.txt in three configurations and diffs the
+# tests/golden/golden_design.txt in two configurations and diffs the
 # full report against expected_report.txt. Wall-clock dependent lines (the
 # per-phase time table and the "cpu" figure) are filtered out; everything
 # else — phase statistics, dirty/relax counters, delay/area/length, the
@@ -29,12 +29,6 @@ trap 'rm -f "$actual"' EXIT
   "$bgr_route" "$golden_dir/golden_design.txt" --threads 2 --verify | filter
   echo "== rc, full sta, serial =="
   "$bgr_route" "$golden_dir/golden_design.txt" --rc --incremental-sta off \
-      --threads 1 | filter
-  echo "== lumped, dijkstra path search, serial =="
-  # Must match the A* runs above on every semantic line except the
-  # search-effort columns (pops/relax) — the backends are bit-identical
-  # in what they decide, not in how hard they work for it.
-  "$bgr_route" "$golden_dir/golden_design.txt" --path-search dijkstra \
       --threads 1 | filter
 } > "$actual"
 

@@ -1,11 +1,10 @@
-// Differential battery for the path-search engines (DESIGN.md §11): on
-// dozens of fuzz-sampled designs, every engine enumerated by
-// testutil::all_path_search_engines() is swept automatically — members of
-// the bit-identical family must reproduce the reference binary-heap
+// Differential battery for the path search (DESIGN.md §11): on dozens of
+// fuzz-sampled designs, the cached engine (reference Dijkstra per graph
+// plus dependency-cone repair) must reproduce the from-scratch reference
 // Dijkstra exactly (per-search tentative trees during live routing, and
 // the full pipeline outcome: delay, length, margins, per-net routed
-// lengths, per-phase deletion counts), and every engine must be
-// bit-identical to itself across 1 and 8 threads.
+// lengths, per-phase deletion counts), and both engines must be
+// bit-identical to themselves across 1 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +16,6 @@
 #include "bgr/gen/generator.hpp"
 #include "bgr/route/path_search.hpp"
 #include "bgr/route/router.hpp"
-#include "test_util.hpp"
 
 namespace bgr {
 namespace {
@@ -49,8 +47,8 @@ PipelineSnapshot route_pipeline(const CircuitSpec& spec,
 }
 
 /// Bit-identity of everything the router decided. `compare_path_effort`
-/// is off across backends (different pop counts are A*'s whole point) and
-/// on across thread counts (the same searches must run either way).
+/// is off across engines (fewer pops are the cache's whole point) and on
+/// across thread counts (the same searches must run either way).
 void expect_identical(const PipelineSnapshot& a, const PipelineSnapshot& b,
                       bool compare_path_effort) {
   EXPECT_EQ(a.outcome.critical_delay_ps, b.outcome.critical_delay_ps);
@@ -79,19 +77,15 @@ void expect_identical(const PipelineSnapshot& a, const PipelineSnapshot& b,
   EXPECT_EQ(a.margins_ps, b.margins_ps);
 }
 
-/// Runs both backends standalone on the net's *current* graph (mid-
-/// routing, so with real deletions applied) for the no-skip search and a
-/// handful of candidate skip edges, and requires bit-identical trees —
-/// the raw searches AND the engine's cache-backed cone repair, which must
-/// agree with the reference no matter which internal path (cached tree,
-/// empty-cone reuse, boundary-seeded repair) answers the query.
-void compare_backends_on_graph(const RoutingGraph& g, std::int64_t step) {
+/// Runs the reference search standalone on the net's *current* graph
+/// (mid-routing, so with real deletions applied) for the no-skip search
+/// and a handful of candidate skip edges, and requires the cached engine
+/// to return bit-identical trees, no matter which internal path (cached
+/// tree, empty-cone reuse, boundary-seeded repair) answers the query.
+void compare_engines_on_graph(const RoutingGraph& g, std::int64_t step) {
   const SmallGraph& sg = g.graph();
-  const GoalHeuristic heuristic = build_goal_heuristic(
-      sg, g.driver_vertex(), g.terminal_vertices());
-  PathSearchScratch dijkstra_scratch;
-  PathSearchScratch astar_scratch;
-  PathSearchEngine engine(PathSearchBackend::kAstar, nullptr);
+  PathSearchScratch scratch;
+  PathSearchEngine engine(PathSearchBackend::kCached, nullptr);
   SearchCache cache;
   engine.refresh_cache(sg, g.driver_vertex(), g.terminal_vertices(), &cache);
 
@@ -101,21 +95,13 @@ void compare_backends_on_graph(const RoutingGraph& g, std::int64_t step) {
     if (skips.size() >= 9) break;
   }
   for (const std::int32_t skip : skips) {
-    std::vector<std::int32_t> dijkstra_tree;
-    std::vector<std::int32_t> astar_tree;
+    std::vector<std::int32_t> reference_tree;
     std::vector<std::int32_t> cached_tree;
-    (void)path_search_tree(sg, PathSearchBackend::kDijkstra, nullptr,
-                           g.driver_vertex(), g.terminal_vertices(), skip,
-                           dijkstra_scratch, &dijkstra_tree);
-    (void)path_search_tree(sg, PathSearchBackend::kAstar, &heuristic,
-                           g.driver_vertex(), g.terminal_vertices(), skip,
-                           astar_scratch, &astar_tree);
-    engine.tentative_tree(sg, &heuristic, &cache, g.driver_vertex(),
+    (void)path_search_tree(sg, g.driver_vertex(), g.terminal_vertices(), skip,
+                           scratch, &reference_tree);
+    engine.tentative_tree(sg, &cache, g.driver_vertex(),
                           g.terminal_vertices(), skip, &cached_tree);
-    ASSERT_EQ(dijkstra_tree, astar_tree)
-        << "tentative trees diverged at deletion step " << step << ", skip "
-        << skip;
-    ASSERT_EQ(dijkstra_tree, cached_tree)
+    ASSERT_EQ(reference_tree, cached_tree)
         << "cone repair diverged at deletion step " << step << ", skip "
         << skip;
   }
@@ -134,7 +120,7 @@ TEST(PathSearchDifferential, TentativeTreesBitIdenticalDuringRouting) {
       // Every committed deletion changes some graph; cross-check the first
       // few dozen states so the battery stays fast.
       if (++steps > 40) return;
-      compare_backends_on_graph(router->net_graph(net), steps);
+      compare_engines_on_graph(router->net_graph(net), steps);
     };
     router = std::make_unique<GlobalRouter>(design.netlist,
                                             std::move(design.placement),
@@ -147,32 +133,23 @@ TEST(PathSearchDifferential, TentativeTreesBitIdenticalDuringRouting) {
 }
 
 TEST(PathSearchDifferential, PipelineBitIdenticalAcrossBackends) {
-  const std::vector<testutil::EngineInfo> engines =
-      testutil::all_path_search_engines();
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const CircuitSpec spec = sample_spec(seed);
     const PipelineSnapshot reference =
         route_pipeline(spec, PathSearchBackend::kDijkstra, 1);
-    for (const testutil::EngineInfo& engine : engines) {
-      SCOPED_TRACE(engine.name);
-      const bool is_reference =
-          engine.backend == PathSearchBackend::kDijkstra;
-      // Engines outside the bit-identical family only join the (cheaper)
-      // every-fifth-seed thread sweep here; the rest of their contract
-      // lives in their own oracle battery (test_steiner).
-      if (!engine.bit_identical_to_reference && seed % 5 != 0) continue;
-      const PipelineSnapshot serial =
-          is_reference ? reference : route_pipeline(spec, engine.backend, 1);
-      if (engine.bit_identical_to_reference && !is_reference) {
-        expect_identical(serial, reference, /*compare_path_effort=*/false);
-      }
-      // Every fifth seed also crosses thread counts, per engine: the
-      // per-slot arenas must not leak state between searches.
-      if (seed % 5 == 0) {
-        expect_identical(serial, route_pipeline(spec, engine.backend, 8),
-                         /*compare_path_effort=*/true);
-      }
+    const PipelineSnapshot cached =
+        route_pipeline(spec, PathSearchBackend::kCached, 1);
+    expect_identical(cached, reference, /*compare_path_effort=*/false);
+    // Every fifth seed also crosses thread counts, per engine: the
+    // per-slot arenas must not leak state between searches.
+    if (seed % 5 == 0) {
+      expect_identical(reference,
+                       route_pipeline(spec, PathSearchBackend::kDijkstra, 8),
+                       /*compare_path_effort=*/true);
+      expect_identical(cached,
+                       route_pipeline(spec, PathSearchBackend::kCached, 8),
+                       /*compare_path_effort=*/true);
     }
   }
 }

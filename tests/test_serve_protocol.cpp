@@ -34,7 +34,7 @@ TEST(ServeProtocol, ParsesJobWithOptions) {
   const ParsedRequest parsed = parse_request_line(
       "{\"id\":\"j1\",\"dataset\":\"C1P1\",\"options\":{\"rc\":true,"
       "\"sequential\":true,\"improvement_passes\":3,"
-      "\"path_search\":\"dijkstra\",\"incremental_sta\":false,"
+      "\"incremental_sta\":false,"
       "\"unconstrained\":true},\"verify\":true,\"route_text\":true,"
       "\"report\":true}");
   ASSERT_EQ(parsed.kind, ParsedRequest::Kind::kJob) << parsed.error;
@@ -43,7 +43,6 @@ TEST(ServeProtocol, ParsesJobWithOptions) {
   EXPECT_EQ(parsed.job.options.delay_model, DelayModel::kElmoreRC);
   EXPECT_FALSE(parsed.job.options.concurrent_initial);
   EXPECT_EQ(parsed.job.options.improvement_passes, 3);
-  EXPECT_EQ(parsed.job.options.path_search, PathSearchBackend::kDijkstra);
   EXPECT_FALSE(parsed.job.options.incremental_sta);
   EXPECT_FALSE(parsed.job.constrained);
   EXPECT_TRUE(parsed.job.verify);
@@ -81,7 +80,7 @@ TEST(ServeProtocol, RejectsMalformedRequestsWithoutThrowing) {
       "{\"id\":\"j\",\"dataset\":\"C1P1\","
       "\"options\":{\"improvement_passes\":-1}}",  // out-of-range option
       "{\"id\":\"j\",\"dataset\":\"C1P1\","
-      "\"options\":{\"path_search\":\"bfs\"}}",    // bad enum
+      "\"options\":{\"rc\":\"yes\"}}",           // wrong option type
       "{\"cancel\":\"j\",\"ping\":true}",     // control with extra field
       "{\"id\":\"j\",\"dataset\":\"C1P1\"",   // truncated JSON
       "{\"id\":17,\"dataset\":\"C1P1\"}",     // wrong type
@@ -90,6 +89,23 @@ TEST(ServeProtocol, RejectsMalformedRequestsWithoutThrowing) {
     const ParsedRequest parsed = parse_request_line(line);
     EXPECT_EQ(parsed.kind, ParsedRequest::Kind::kError) << line;
     EXPECT_FALSE(parsed.error.empty()) << line;
+  }
+}
+
+TEST(ServeProtocol, RemovedEngineOptionsAreUnknown) {
+  // The path-search engine and its lookahead are not client knobs: a
+  // request naming them is rejected, not silently routed with defaults.
+  const char* cases[] = {
+      "{\"id\":\"j\",\"dataset\":\"C1P1\","
+      "\"options\":{\"path_search\":\"astar\"}}",
+      "{\"id\":\"j\",\"dataset\":\"C1P1\","
+      "\"options\":{\"lookahead\":\"map\"}}",
+  };
+  for (const char* line : cases) {
+    const ParsedRequest parsed = parse_request_line(line);
+    EXPECT_EQ(parsed.kind, ParsedRequest::Kind::kError) << line;
+    EXPECT_NE(parsed.error.find("unknown option"), std::string::npos)
+        << parsed.error;
   }
 }
 

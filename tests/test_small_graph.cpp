@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
 
 #include "bgr/common/rng.hpp"
+#include "bgr/route/path_search.hpp"
 
 namespace bgr {
 namespace {
@@ -129,21 +133,23 @@ TEST(SmallGraph, ParallelEdgesAreNotBridges) {
   EXPECT_FALSE(bridges[1]);
 }
 
-TEST(SmallGraph, DijkstraSimplePath) {
+TEST(SmallGraph, ReferencePathSearchSimplePath) {
   SmallGraph g;
   const auto a = g.add_vertex();
   const auto b = g.add_vertex();
   const auto c = g.add_vertex();
-  (void)g.add_edge(a, b, 1.0);
+  const auto e0 = g.add_edge(a, b, 1.0);
   const auto e1 = g.add_edge(b, c, 2.0);
   const auto e2 = g.add_edge(a, c, 10.0);
-  auto sp = g.dijkstra(a);
-  EXPECT_DOUBLE_EQ(sp.dist[static_cast<std::size_t>(c)], 3.0);
-  EXPECT_EQ(sp.parent_edge[static_cast<std::size_t>(c)], e1);
+  PathSearchScratch scratch;
+  std::vector<std::int32_t> tree;
+  (void)path_search_tree(g, a, {c}, SmallGraph::kNone, scratch, &tree);
+  EXPECT_DOUBLE_EQ(scratch.dist(c), 3.0);
+  EXPECT_EQ(tree, (std::vector<std::int32_t>{e1, e0}));
   // Skipping e1 forces the direct edge.
-  sp = g.dijkstra(a, e1);
-  EXPECT_DOUBLE_EQ(sp.dist[static_cast<std::size_t>(c)], 10.0);
-  EXPECT_EQ(sp.parent_edge[static_cast<std::size_t>(c)], e2);
+  (void)path_search_tree(g, a, {c}, e1, scratch, &tree);
+  EXPECT_DOUBLE_EQ(scratch.dist(c), 10.0);
+  EXPECT_EQ(tree, (std::vector<std::int32_t>{e2}));
 }
 
 class SmallGraphRandom : public ::testing::TestWithParam<std::uint64_t> {};
@@ -161,12 +167,17 @@ TEST_P(SmallGraphRandom, BridgesMatchBruteForce) {
   }
 }
 
-TEST_P(SmallGraphRandom, DijkstraMatchesBellmanFord) {
+TEST_P(SmallGraphRandom, ReferencePathSearchMatchesBellmanFord) {
   Rng rng(GetParam() + 100);
+  PathSearchScratch scratch;
+  std::vector<std::int32_t> tree;
   for (int round = 0; round < 10; ++round) {
     const auto n = rng.uniform_i32(2, 10);
     SmallGraph g = random_graph(rng, n, rng.uniform_i32(1, 20));
-    const auto sp = g.dijkstra(0);
+    // The source as the only terminal: the labels cover the whole
+    // component while the tree stays empty.
+    (void)path_search_tree(g, 0, {0}, SmallGraph::kNone, scratch, &tree);
+    EXPECT_TRUE(tree.empty());
     // Bellman-Ford oracle.
     constexpr double kInf = std::numeric_limits<double>::infinity();
     std::vector<double> dist(static_cast<std::size_t>(n), kInf);
@@ -184,7 +195,7 @@ TEST_P(SmallGraphRandom, DijkstraMatchesBellmanFord) {
       }
     }
     for (std::int32_t v = 0; v < n; ++v) {
-      const double got = sp.dist[static_cast<std::size_t>(v)];
+      const double got = scratch.dist(v);
       const double want = dist[static_cast<std::size_t>(v)];
       if (std::isinf(want)) {
         EXPECT_TRUE(std::isinf(got));

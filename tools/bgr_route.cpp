@@ -16,21 +16,6 @@
 //                         sharded concurrent edge deletion (on, the
 //                         default) or the single global scan loop (off);
 //                         the routed result is bit-identical either way
-//     --path-search {astar,dijkstra,steiner}
-//                         tentative-tree search backend: goal-oriented A*
-//                         over a dial queue (astar, the default) or the
-//                         reference binary-heap Dijkstra — bit-identical
-//                         results either way — or the cost-distance
-//                         Steiner construction (steiner), which trades
-//                         wirelength against slack-weighted source–sink
-//                         paths and is allowed to differ (deterministic,
-//                         verifier-clean, margin-dominant; DESIGN.md §16)
-//     --lookahead {exact,map}
-//                         source of the A* lower bounds: an exact
-//                         multi-source Dijkstra per routing graph (exact,
-//                         the default) or derivation from the chip-level
-//                         lookahead table built once per design (map);
-//                         the routed result is bit-identical either way
 //     --min-capacity-search
 //                         instead of routing once, binary-search the
 //                         minimum per-channel track capacity the design
@@ -82,8 +67,7 @@ void usage(std::FILE* out) {
                "usage: bgr_route <design.txt | @C1P1> [--unconstrained] "
                "[--rc] [--sequential] [--no-improve] "
                "[--incremental-sta on|off] [--shard-deletion on|off] "
-               "[--path-search astar|dijkstra|steiner] "
-               "[--lookahead exact|map] [--min-capacity-search] "
+               "[--min-capacity-search] "
                "[--threads N] "
                "[--repeat K] [--save-route FILE] [--save-design FILE] "
                "[--skew] [--metrics-out FILE] [--trace-out FILE] "
@@ -153,46 +137,16 @@ int main(int argc, char** argv) {
       options.delay_model = DelayModel::kElmoreRC;
     } else if (arg == "--sequential") {
       options.concurrent_initial = false;
-    } else if (arg == "--incremental-sta" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "on") {
-        options.incremental_sta = true;
-      } else if (mode == "off") {
-        options.incremental_sta = false;
-      } else {
-        std::fprintf(stderr, "error: --incremental-sta must be on or off\n");
-        return cli::kExitUsage;
-      }
-    } else if (arg == "--shard-deletion" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "on") {
-        options.shard_deletion = true;
-      } else if (mode == "off") {
-        options.shard_deletion = false;
-      } else {
-        std::fprintf(stderr, "error: --shard-deletion must be on or off\n");
-        return cli::kExitUsage;
-      }
-    } else if (arg == "--path-search" && i + 1 < argc) {
+    } else if (arg == "--incremental-sta" || arg == "--shard-deletion") {
+      bool& enabled = arg == "--incremental-sta" ? options.incremental_sta
+                                                 : options.shard_deletion;
+      const char* value = i + 1 < argc ? argv[++i] : nullptr;
       std::size_t choice = 0;
-      if (!cli::parse_choice_option("--path-search", argv[++i],
-                                    {"astar", "dijkstra", "steiner"},
+      if (!cli::parse_choice_option(arg.c_str(), value, {"on", "off"},
                                     &choice)) {
         return cli::kExitUsage;
       }
-      options.path_search = choice == 0   ? PathSearchBackend::kAstar
-                            : choice == 1 ? PathSearchBackend::kDijkstra
-                                          : PathSearchBackend::kSteiner;
-    } else if (arg == "--lookahead" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "exact") {
-        options.lookahead = LookaheadMode::kExact;
-      } else if (mode == "map") {
-        options.lookahead = LookaheadMode::kMap;
-      } else {
-        std::fprintf(stderr, "error: --lookahead must be exact or map\n");
-        return cli::kExitUsage;
-      }
+      enabled = choice == 0;
     } else if (arg == "--min-capacity-search") {
       capacity_search = true;
     } else if (arg == "--no-improve") {

@@ -35,9 +35,8 @@ import sys
 
 SCHEMA_VERSION = 1
 ROUTE_SECTIONS = ("design", "options", "result", "stats", "phases", "run")
-# Semantic counters every routed report must carry, whatever the backend.
-# The cache counters register (at zero) even under the Dijkstra backend;
-# the A*-only bucket metrics are deliberately not on this list.
+# Semantic counters every routed report must carry. The cache counters
+# register (at zero) even under the reference Dijkstra engine.
 ROUTE_SEMANTIC_METRICS = (
     "route.deleted_edges",
     "route.graphs_built",
@@ -47,21 +46,11 @@ ROUTE_SEMANTIC_METRICS = (
     "path.cache_builds",
     "path.cache_hits",
     "path.cone_repairs",
-    "lookahead.builds",
-    "lookahead.derivations",
-    "lookahead.vertices",
     "sta.full_sweeps",
     "shard.components",
     "shard.commits",
     "shard.fallbacks",
     "shard.nets",
-    # Cost-distance steiner construction (DESIGN.md §16); registered at
-    # zero by every router, live only under --path-search steiner.
-    "steiner.trees",
-    "steiner.sink_paths",
-    "steiner.pops",
-    "steiner.relaxations",
-    "steiner.cache_hits",
 )
 # The scale bench (bench_scale) routes a block-structured preset and
 # records the deletion loop's shard decomposition alongside throughput.
@@ -74,12 +63,6 @@ SCALE_RESULT_FIELDS = ("nets_per_second_floor", "parallel_ratio_8",
 CAPACITY_SECTIONS = ("design", "options", "capacity", "run")
 CAPACITY_PROBE_FIELDS = ("tracks", "feasible", "max_tracks",
                          "reroute_passes", "verify_errors")
-# The steiner bench (bench_steiner) routes each preset once per backend
-# and records the delay/area front plus the dominance/identity gates.
-STEINER_SECTIONS = ("designs", "result", "run")
-STEINER_MODE_FIELDS = ("backend", "critical_delay_ps", "total_length_um",
-                       "worst_margin_ps", "violated_constraints")
-STEINER_RESULT_FIELDS = ("identical_ok", "dominance_ok", "counters_ok")
 # Daemon reports ("bgr_serve" and the in-process "bench.serve") carry the
 # serve/totals sections plus the admission/cache/cancellation counters —
 # all semantic: for a given request stream they are functions of the
@@ -143,9 +126,16 @@ def check_report(report, path):
         for name in ROUTE_SEMANTIC_METRICS:
             if name not in report["metrics"]["semantic"]:
                 fail(f"{path}: metrics.semantic lacks '{name}'")
-        for option in ("path_search", "lookahead"):
-            if option not in report["options"]:
-                fail(f"{path}: options lacks '{option}'")
+        # bgr_route always runs the cached engine: every query is a cache
+        # hit or a cone repair. An uncached fallback search would break
+        # this balance. A serve job's report reads a registry other jobs
+        # are still counting into, so the balance holds only without one.
+        semantic = report["metrics"]["semantic"]
+        answered = semantic["path.cache_hits"] + semantic["path.cone_repairs"]
+        if not report["run"].get("shared_registry") and \
+                semantic["path.searches"] != answered:
+            fail(f"{path}: path.searches {semantic['path.searches']} != "
+                 f"path.cache_hits + path.cone_repairs ({answered})")
         if not isinstance(report["phases"], list) or not report["phases"]:
             fail(f"{path}: 'phases' must be a non-empty array")
         for ph in report["phases"]:
@@ -197,32 +187,6 @@ def check_report(report, path):
             fail(f"{path}: first probe is not the unconstrained bound")
         if not 1 <= capacity["min_tracks"] <= capacity["unconstrained_tracks"]:
             fail(f"{path}: min_tracks outside [1, unconstrained_tracks]")
-    if kind == "bench.steiner":
-        for section in STEINER_SECTIONS:
-            if section not in report:
-                fail(f"{path}: missing '{section}' section")
-        designs = report["designs"]
-        if not isinstance(designs, list) or not designs:
-            fail(f"{path}: 'designs' must be a non-empty array")
-        for row in designs:
-            if "name" not in row:
-                fail(f"{path}: design row lacks 'name': {row}")
-            modes = row.get("modes")
-            if not isinstance(modes, list) or not modes:
-                fail(f"{path}: designs[{row.get('name')!r}].modes must be "
-                     f"a non-empty array")
-            for entry in modes:
-                for field in STEINER_MODE_FIELDS:
-                    if field not in entry:
-                        fail(f"{path}: mode entry lacks '{field}': {entry}")
-        result = report["result"]
-        for field in STEINER_RESULT_FIELDS:
-            if field not in result:
-                fail(f"{path}: result.{field} missing")
-        for name in ("steiner.trees", "steiner.sink_paths",
-                     "steiner.cache_hits"):
-            if name not in report["metrics"]["semantic"]:
-                fail(f"{path}: metrics.semantic lacks '{name}'")
     if kind in SERVE_KINDS:
         for section in SERVE_SECTIONS:
             if section not in report:
