@@ -14,14 +14,14 @@ namespace bgr {
 namespace {
 
 /// Channel-stage totals: all recorded from the serial per-channel loop in
-/// ChannelStage::run(), so they are semantic. `track_overflow` sums
+/// ChannelStage::run(), so they are semantic. `tracks_above_density` sums
 /// max(0, tracks - density) over channels — tracks spent above the density
-/// lower bound.
+/// lower bound (not an overflow: no capacity is exceeded).
 struct ChannelMetrics {
   Counter& segments = MetricsRegistry::global().counter(
       "channel.segments", MetricScope::kSemantic);
-  Counter& track_overflow = MetricsRegistry::global().counter(
-      "channel.track_overflow", MetricScope::kSemantic);
+  Counter& tracks_above_density = MetricsRegistry::global().counter(
+      "channel.tracks_above_density", MetricScope::kSemantic);
   Counter& vcg_violations = MetricsRegistry::global().counter(
       "channel.vcg_violations", MetricScope::kSemantic);
   Histogram& tracks = MetricsRegistry::global().histogram(
@@ -443,7 +443,7 @@ void ChannelStage::run() {
     channel_metrics().segments.add(
         static_cast<std::int64_t>(plan.segments.size()));
     channel_metrics().tracks.record(plan.tracks);
-    channel_metrics().track_overflow.add(
+    channel_metrics().tracks_above_density.add(
         std::max<std::int32_t>(0, plan.tracks - plan.density));
     channel_metrics().vcg_violations.add(plan.vcg_violations);
     // Vertical jog lengths: distance from the segment's track to the edge

@@ -16,7 +16,7 @@ namespace bgr {
 namespace {
 
 /// Region/chunk totals depend on whether the serial fast paths fire
-/// (thread count 1 skips the score warm-up entirely), so they live in the
+/// (thread count 1 skips the parallel timing re-fills entirely), so they live in the
 /// nondeterministic namespace alongside the wall-time metrics.
 struct ExecMetrics {
   Counter& regions = MetricsRegistry::global().counter(

@@ -36,24 +36,41 @@ struct SelectionKey {
   double neg_length = 0.0;
 };
 
-/// Cached selection key of one candidate edge. Invalidation is stamp-based
-/// and local: the stamp folds the monotone versions of everything the key
-/// reads — the member nets' estimate versions, the touched channels'
-/// density versions, and the per-constraint timing versions of the net's
-/// constraint set (TimingAnalyzer::version). With the incremental analyzer
-/// a constraint's version moves only when its arrival times actually
-/// changed, so a deletion invalidates exactly the dirty-net set's keys
-/// instead of every timing-active key.
-struct ScoreCache {
-  SelectionKey key;
-  std::uint64_t stamp = 0;  // combined input versions at computation time
-  bool valid = false;
+/// The two halves of a SelectionKey, split by what they read.
+///   timing   C_d, Gl, LD: the net's (and its differential partner's)
+///            routing graph and wiring delay, and the arrival times of the
+///            constraints they belong to. Expensive: a tentative-tree path
+///            search plus an STA evaluation per member net.
+///   density  branch, the f/n tiers and length: the density charts of the
+///            edge's channel(s) over its span, and the channel aggregates.
+///            Cheap: two O(log W) range queries per channel.
+/// A density-only change (the common case: a commit moves a chart that
+/// many candidates share) therefore re-fills only the cheap half. The
+/// density half is itself two-level: the edge's own span maxima
+/// (EdgeDensityParams, re-queried only when an update overlapped the span)
+/// and the channel aggregates they are subtracted from.
+enum ScoreHalf : std::uint8_t {
+  kTimingHalf = 1U << 0,
+  kDensityHalf = 1U << 1,
+  kDensitySpan = 1U << 2,  // with kDensityHalf: the span maxima moved too
 };
 
-/// Lexicographic comparison under the given tier order. Returns true when
-/// `a` should be deleted in preference to `b`.
-[[nodiscard]] inline bool key_less(const SelectionKey& a, const SelectionKey& b,
-                                   CriteriaOrder order) {
+/// Cached selection key of one candidate edge. `stale` marks the halves
+/// whose inputs moved since they were filled; the selection index
+/// (DESIGN.md §17) sets the bits from its reverse indexes after every
+/// commit and re-fills exactly those halves before the next selection, so
+/// the cached key always equals a from-scratch evaluation when it is read.
+struct ScoreCache {
+  SelectionKey key;
+  std::uint8_t stale = kTimingHalf | kDensityHalf | kDensitySpan;
+};
+
+/// Three-way lexicographic comparison under the given tier order: negative
+/// when `a` should be deleted in preference to `b`, positive for the
+/// reverse, zero when every tier ties.
+[[nodiscard]] inline int key_compare(const SelectionKey& a,
+                                     const SelectionKey& b,
+                                     CriteriaOrder order) {
   auto cmp_delay_tail = [](const SelectionKey& x, const SelectionKey& y,
                            bool with_cd) -> int {
     if (with_cd && x.critical_count != y.critical_count)
@@ -85,8 +102,16 @@ struct ScoreCache {
       if (c == 0) c = cmp_delay_tail(a, b, /*with_cd=*/false);
     }
   }
-  if (c != 0) return c < 0;
-  return a.neg_length < b.neg_length;
+  if (c != 0) return c;
+  if (a.neg_length != b.neg_length) return a.neg_length < b.neg_length ? -1 : 1;
+  return 0;
+}
+
+/// Lexicographic comparison under the given tier order. Returns true when
+/// `a` should be deleted in preference to `b`.
+[[nodiscard]] inline bool key_less(const SelectionKey& a, const SelectionKey& b,
+                                   CriteriaOrder order) {
+  return key_compare(a, b, order) < 0;
 }
 
 }  // namespace bgr

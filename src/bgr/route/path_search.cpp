@@ -11,8 +11,9 @@ namespace bgr {
 namespace {
 
 /// Search-effort counters. Everything value-driven is semantic: the set of
-/// searches the router runs is a function of the design alone (the score
-/// warm-up computes exactly the keys the serial scan would), and each
+/// searches the router runs is a function of the design alone (the
+/// selection index re-fills the same stale timing halves at any thread
+/// count), and each
 /// search's pop/relax counts are a function of the graph and the engine. Arena reuse/growth, by contrast, depends on which exec slot a
 /// chunk happens to land on — schedule-dependent, so nondeterministic.
 struct PathMetrics {

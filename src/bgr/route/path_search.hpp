@@ -116,7 +116,7 @@ SearchEffort path_search_tree(const SmallGraph& graph, std::int32_t source,
 
 /// Cached no-skip reference search over one routing graph, rebuilt at the
 /// serial mutation points (graph build, committed edge deletion) and read
-/// concurrently by the score warm-up. The scoring loop asks for the
+/// concurrently by the parallel timing re-fills. The scoring loop asks for the
 /// tentative tree under dozens of hypothetical single-edge deletions of
 /// the *same* graph; the cache answers most of them without a search:
 ///
@@ -143,8 +143,9 @@ struct SearchCache {
 };
 
 /// Search-effort totals the router snapshots per phase. Value-driven, so
-/// deterministic across thread counts (the score warm-up computes exactly
-/// the keys the serial scan would, hence the same searches run).
+/// deterministic across thread counts (the selection index re-fills the
+/// same stale timing halves whether or not they fan out, hence the same
+/// searches run).
 struct PathSearchStats {
   std::int64_t searches = 0;
   std::int64_t pops = 0;
@@ -153,7 +154,7 @@ struct PathSearchStats {
 
 /// Path-search engine shared by one router: the engine choice, one
 /// scratch arena per exec slot (indexed by ExecContext::current_slot, so
-/// concurrent score warm-up searches never share state), and the running
+/// concurrent timing re-fill searches never share state), and the running
 /// effort totals. RoutingGraphs get a pointer via set_path_search();
 /// graphs without an engine fall back to the reference search over a
 /// private scratch.

@@ -10,17 +10,20 @@
 #include "bgr/exec/parallel.hpp"
 #include "bgr/obs/metrics.hpp"
 #include "bgr/obs/trace.hpp"
+#include "bgr/route/selection_index.hpp"
 
 namespace bgr {
 
 namespace {
 
-/// Router metrics. Deletions, reroutes, graph builds and score-cache
-/// *misses* are semantic: the set of keys computed per selection round is
-/// identical whether the warm-up fans out or the serial scan fills them
-/// lazily. Cache *hits* are not — the parallel warm-up touches each
-/// warmed key a second time from the winner scan — so they sit in the
-/// nondeterministic namespace.
+/// Router metrics. Deletions, reroutes, graph builds and the selection
+/// index's work counters are semantic: which key halves go stale after a
+/// commit is a function of values only, so the same re-fills and sifts run
+/// whether the timing re-fills fan out or not. `route.score_cache_miss`
+/// counts re-filled halves (select.rescored_timing + select.rescored_density);
+/// `route.score_cache_hit` counts live candidates whose cached key a
+/// selection round reused (nondeterministic scope, so semantic diffs skip
+/// it).
 struct RouteMetrics {
   Counter& deleted_edges = MetricsRegistry::global().counter(
       "route.deleted_edges", MetricScope::kSemantic);
@@ -32,6 +35,12 @@ struct RouteMetrics {
       "route.score_cache_miss", MetricScope::kSemantic);
   Counter& score_hit = MetricsRegistry::global().counter(
       "route.score_cache_hit", MetricScope::kNonDeterministic);
+  Counter& rescored_timing = MetricsRegistry::global().counter(
+      "select.rescored_timing", MetricScope::kSemantic);
+  Counter& rescored_density = MetricsRegistry::global().counter(
+      "select.rescored_density", MetricScope::kSemantic);
+  Counter& sifted = MetricsRegistry::global().counter(
+      "select.sifted", MetricScope::kSemantic);
   Counter& feed_cells = MetricsRegistry::global().counter(
       "layout.feed_cells_added", MetricScope::kSemantic);
   Counter& widen_pitches = MetricsRegistry::global().counter(
@@ -57,12 +66,15 @@ RouteMetrics& route_metrics() {
   return *m;
 }
 
-/// Minimum *stale* score count before the warm-up fans out; below this the
-/// serial lazy path is cheaper. Purely a performance knob — warmed and
-/// lazily computed keys are identical.
-constexpr std::int64_t kParallelScoreMin = 32;
-/// Candidates per warm-up chunk (scoring one edge walks constraint arcs
-/// and density charts, so chunks stay small for load balance).
+/// Minimum number of stale *timing* halves before a re-fill fans out. One
+/// half is a tentative-tree search plus an STA evaluation (a few µs), so
+/// below this a region's wake-up cost eats the saving — at 32, the 10k
+/// preset's improve_area ran ~2.6k regions of one net's candidates each.
+/// Purely a performance knob: the halves are identical either way.
+/// Density halves (O(log W) range queries) always re-fill serially.
+constexpr std::int64_t kParallelScoreMin = 128;
+/// Timing re-fills per chunk (one is a tentative-tree search plus an STA
+/// evaluation, so chunks stay small for load balance).
 constexpr std::int64_t kScoreGrain = 16;
 
 }  // namespace
@@ -117,9 +129,6 @@ void GlobalRouter::build_all_graphs() {
   ScopedSpan span("build_graphs", "route");
   graphs_.clear();
   graphs_.resize(static_cast<std::size_t>(netlist_.net_count()));
-  scores_.clear();
-  scores_.resize(static_cast<std::size_t>(netlist_.net_count()));
-  net_version_.assign(static_cast<std::size_t>(netlist_.net_count()), 0);
   // Each G_r(n) depends only on the (const) netlist, placement and
   // feedthrough assignment, so all nets build concurrently — the shadow of
   // a differential pair reads its primary's *assignment*, not its graph.
@@ -141,14 +150,9 @@ void GlobalRouter::build_all_graphs() {
         graphs_[n]->set_path_search(path_engine_.get());
       },
       /*grain=*/1);
-  // Pre-size the score caches so the parallel warm-up never resizes a
-  // vector another thread is reading.
   for (const NetId n : netlist_.nets()) {
     route_metrics().graphs_built.add(1);
     route_metrics().graph_edges.record(graphs_[n]->graph().edge_count());
-    scores_[n].assign(
-        static_cast<std::size_t>(graphs_[n]->graph().edge_count()),
-        ScoreCache{});
   }
   // Differential pairs must be homogeneous so edge ids mirror one-to-one.
   for (const NetId n : netlist_.nets()) {
@@ -217,197 +221,476 @@ void GlobalRouter::refresh_net_estimate(NetId net,
       analyzer_->update_for_net(net);
     }
   }
-  ++net_version_[net];
 }
 
-std::uint64_t GlobalRouter::stamp_for(NetId net, std::int32_t edge) const {
-  const RoutingGraph& g = *graphs_[net];
-  const RouteEdgeInfo& info = g.edge_info(edge);
-  std::uint64_t stamp = net_version_[net];
-  const Net& n = netlist_.net(net);
-  if (n.is_differential()) stamp += net_version_[n.diff_partner];
-  // Timing staleness is keyed off the dirty-net set: only the versions of
-  // the constraints this net (and its differential partner) belongs to
-  // enter the stamp, so an update that left a constraint's arrival times
-  // untouched invalidates nothing. Every component is monotone, so a sum
-  // can never reproduce an older stamp.
-  if (options_.use_constraints) {
-    auto add_timing = [&](NetId member) {
-      for (const ConstraintId p : analyzer_->constraints_of_net(member)) {
-        stamp += analyzer_->version(p) * 0x10000ULL;
-      }
-    };
-    add_timing(net);
-    if (n.is_differential()) add_timing(n.diff_partner);
-  }
+void GlobalRouter::span_density(NetId net, std::int32_t edge,
+                                EdgeDensityParams span[2]) const {
+  if (!options_.use_density_criteria) return;
+  const RouteEdgeInfo& info = graphs_[net]->edge_info(edge);
+  span[0] = density_->edge_params(info.channel, info.span);
   if (info.kind == RouteEdgeKind::kFeed) {
-    stamp += density_->version(info.channel);
-    stamp += density_->version(info.channel + 1);
-  } else {
-    stamp += density_->version(info.channel);
+    span[1] = density_->edge_params(info.channel + 1, info.span);
   }
-  return stamp;
+}
+
+void GlobalRouter::score_density(NetId net, std::int32_t edge,
+                                 const EdgeDensityParams span[2],
+                                 SelectionKey& key) const {
+  const RouteEdgeInfo& info = graphs_[net]->edge_info(edge);
+  key.neg_length = -info.length_um;
+  key.branch = info.is_trunk() ? 0 : 1;
+  if (!options_.use_density_criteria) return;
+  struct Tiers {
+    std::int32_t f_min, n_min, f_max, n_max;
+  };
+  auto tiers = [&](std::int32_t channel, const EdgeDensityParams& ep) {
+    const ChannelDensityParams& cp = density_->channel_params(channel);
+    return Tiers{cp.c_min - ep.d_min, cp.nc_min - ep.nd_min,
+                 cp.c_max - ep.d_max, cp.nc_max - ep.nd_max};
+  };
+  Tiers t = tiers(info.channel, span[0]);
+  if (info.kind == RouteEdgeKind::kFeed) {
+    // A feedthrough edge touches both adjacent channels at one column;
+    // score it against the more critical of the two.
+    const Tiers hi = tiers(info.channel + 1, span[1]);
+    const bool lo_worse =
+        t.f_min != hi.f_min ? t.f_min < hi.f_min : t.f_max < hi.f_max;
+    if (!lo_worse) t = hi;
+  }
+  key.f_min = t.f_min;
+  key.n_min = t.n_min;
+  key.f_max = t.f_max;
+  key.n_max = t.n_max;
+}
+
+void GlobalRouter::score_timing(NetId net, std::int32_t edge,
+                                SelectionKey& key) const {
+  key.critical_count = 0;
+  key.global_delay = 0.0;
+  key.local_delay = 0.0;
+  if (!options_.use_constraints || !options_.use_delay_criteria) return;
+  auto accumulate = [&](NetId member, const RoutingGraph& mg) {
+    if (analyzer_->constraints_of_net(member).empty()) return;
+    const double len = mg.estimated_length_um(edge) + net_extra_um(member);
+    const double cap = tech_.wire_cap_pf(len, netlist_.net(member).pitch_width);
+    DelayCriteria dc;
+    if (options_.use_net_budgets) {
+      dc = budget_criteria(member,
+                           delay_graph_->net_arc_delay_for_cap(member, cap));
+    } else if (options_.delay_model == DelayModel::kElmoreRC) {
+      // Worst-sink arc delay after the deletion: lumped part plus the
+      // largest per-sink Elmore wire term (pessimistic, in the spirit of
+      // the LM(e, P) estimate).
+      const auto rc = mg.elmore(tech_, netlist_.net(member).pitch_width,
+                                [&](TerminalId t) {
+                                  return netlist_.terminal_fanin_cap_pf(t);
+                                },
+                                edge);
+      double worst_extra = 0.0;
+      for (const auto& [term, ps] : rc.sink_wire_ps) {
+        (void)term;
+        worst_extra = std::max(worst_extra, ps);
+      }
+      dc = analyzer_->evaluate_arc_delay(
+          member, delay_graph_->net_arc_delay_for_cap(member, cap) + worst_extra);
+    } else {
+      dc = analyzer_->evaluate(member, cap);
+    }
+    key.critical_count += dc.critical_count;
+    key.global_delay += dc.global_delay;
+    key.local_delay += dc.local_delay;
+  };
+  accumulate(net, *graphs_[net]);
+  const Net& n = netlist_.net(net);
+  if (n.is_differential()) {
+    accumulate(n.diff_partner, *graphs_[n.diff_partner]);
+  }
 }
 
 SelectionKey GlobalRouter::compute_key(NetId net, std::int32_t edge) const {
-  const RoutingGraph& g = *graphs_[net];
-  const RouteEdgeInfo& info = g.edge_info(edge);
   SelectionKey key;
-  key.neg_length = -info.length_um;
-  key.branch = info.is_trunk() ? 0 : 1;
-
-  if (options_.use_density_criteria) {
-    auto fill = [&](std::int32_t channel, SelectionKey& k) {
-      const ChannelDensityParams& cp = density_->channel_params(channel);
-      const EdgeDensityParams ep = density_->edge_params(channel, info.span);
-      k.f_min = cp.c_min - ep.d_min;
-      k.n_min = cp.nc_min - ep.nd_min;
-      k.f_max = cp.c_max - ep.d_max;
-      k.n_max = cp.nc_max - ep.nd_max;
-    };
-    if (info.kind == RouteEdgeKind::kFeed) {
-      // A feedthrough edge touches both adjacent channels at one column;
-      // score it against the more critical of the two.
-      SelectionKey lo = key;
-      SelectionKey hi = key;
-      fill(info.channel, lo);
-      fill(info.channel + 1, hi);
-      const bool lo_worse = lo.f_min != hi.f_min ? lo.f_min < hi.f_min
-                                                 : lo.f_max < hi.f_max;
-      key = lo_worse ? lo : hi;
-    } else {
-      fill(info.channel, key);
-    }
-  }
-
-  if (options_.use_constraints && options_.use_delay_criteria) {
-    auto accumulate = [&](NetId member, const RoutingGraph& mg) {
-      if (analyzer_->constraints_of_net(member).empty()) return;
-      const double len = mg.estimated_length_um(edge) + net_extra_um(member);
-      const double cap =
-          tech_.wire_cap_pf(len, netlist_.net(member).pitch_width);
-      DelayCriteria dc;
-      if (options_.use_net_budgets) {
-        dc = budget_criteria(
-            member, delay_graph_->net_arc_delay_for_cap(member, cap));
-      } else if (options_.delay_model == DelayModel::kElmoreRC) {
-        // Worst-sink arc delay after the deletion: lumped part plus the
-        // largest per-sink Elmore wire term (pessimistic, in the spirit of
-        // the LM(e, P) estimate).
-        const auto rc = mg.elmore(tech_, netlist_.net(member).pitch_width,
-                                  [&](TerminalId t) {
-                                    return netlist_.terminal_fanin_cap_pf(t);
-                                  },
-                                  edge);
-        double worst_extra = 0.0;
-        for (const auto& [term, ps] : rc.sink_wire_ps) {
-          (void)term;
-          worst_extra = std::max(worst_extra, ps);
-        }
-        dc = analyzer_->evaluate_arc_delay(
-            member,
-            delay_graph_->net_arc_delay_for_cap(member, cap) + worst_extra);
-      } else {
-        dc = analyzer_->evaluate(member, cap);
-      }
-      key.critical_count += dc.critical_count;
-      key.global_delay += dc.global_delay;
-      key.local_delay += dc.local_delay;
-    };
-    accumulate(net, g);
-    const Net& n = netlist_.net(net);
-    if (n.is_differential()) {
-      accumulate(n.diff_partner, *graphs_[n.diff_partner]);
-    }
-  }
+  EdgeDensityParams span[2];
+  span_density(net, edge, span);
+  score_density(net, edge, span, key);
+  score_timing(net, edge, key);
   return key;
 }
 
-const SelectionKey& GlobalRouter::cached_key(NetId net, std::int32_t edge) {
-  auto& vec = scores_[net];
-  if (vec.size() < static_cast<std::size_t>(graphs_[net]->graph().edge_count())) {
-    vec.resize(static_cast<std::size_t>(graphs_[net]->graph().edge_count()));
+/// Selection state of one deletion loop (DESIGN.md §17): the candidates in
+/// a SelectionIndex, plus reverse indexes from net and channel to the
+/// candidates whose key halves read them. After a commit, absorb() drops
+/// the candidates whose edge died and marks the halves whose inputs moved:
+///   timing   every candidate of the committed pair, and of every net of a
+///            constraint whose version moved;
+///   density  every candidate whose span overlaps an updated chart span
+///            (re-query its span maxima), and every other candidate of a
+///            channel whose aggregates changed (re-combine only).
+/// refill() then re-computes exactly the marked halves and re-sifts the
+/// candidates whose key changed. Every other key is unchanged by
+/// construction, so the index top equals a full rescan's winner.
+class GlobalRouter::Selection {
+ public:
+  Selection(GlobalRouter& router, std::vector<Candidate> candidates,
+            bool by_name)
+      : router_(router),
+        index_(router.order_),
+        cand_(std::move(candidates)),
+        timing_(router.options_.use_constraints &&
+                router.options_.use_delay_criteria),
+        density_(router.options_.use_density_criteria) {
+    std::sort(cand_.begin(), cand_.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.net != b.net ? a.net < b.net : a.edge < b.edge;
+              });
+    struct Item {
+      std::int32_t channel;
+      Span span;
+    };
+    std::vector<Item> items;
+    for (std::size_t i = 0; i < cand_.size(); ++i) {
+      const Candidate& c = cand_[i];
+      const auto slot = index_.add(by_name ? router.name_rank_[c.net] : 0,
+                                   c.edge);
+      if (nets_.empty() || nets_.back() != c.net) {
+        nets_.push_back(c.net);
+        net_first_.push_back(slot);
+      }
+      const RouteEdgeInfo& info = router.graphs_[c.net]->edge_info(c.edge);
+      items.push_back(Item{info.channel, Span{info.span.lo, info.span.hi, slot}});
+      if (info.kind == RouteEdgeKind::kFeed) {
+        items.push_back(
+            Item{info.channel + 1, Span{info.span.lo, info.span.hi, slot}});
+      }
+      if (!timing_) {
+        index_.entry(slot).score.stale &= static_cast<std::uint8_t>(~kTimingHalf);
+      }
+      stale_.push_back(slot);
+    }
+    net_first_.push_back(static_cast<std::int32_t>(cand_.size()));
+    span_params_.resize(2 * cand_.size());
+    std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
+      return a.channel != b.channel ? a.channel < b.channel
+                                    : a.span.slot < b.span.slot;
+    });
+    for (const Item& it : items) {
+      if (channels_.empty() || channels_.back() != it.channel) {
+        channels_.push_back(it.channel);
+        chan_first_.push_back(static_cast<std::int32_t>(spans_.size()));
+        chan_seen_.push_back(router.density_->aggregate_version(it.channel));
+      }
+      spans_.push_back(it.span);
+    }
+    chan_first_.push_back(static_cast<std::int32_t>(spans_.size()));
+    chan_end_.assign(chan_first_.begin() + 1, chan_first_.end());
   }
-  ScoreCache& sc = vec[static_cast<std::size_t>(edge)];
-  const std::uint64_t stamp = stamp_for(net, edge);
-  if (!sc.valid || sc.stamp != stamp) {
-    route_metrics().score_miss.add(1);
-    sc.key = compute_key(net, edge);
-    sc.stamp = stamp;
-    sc.valid = true;
-  } else {
-    route_metrics().score_hit.add(1);
+
+  [[nodiscard]] std::int32_t top() const { return index_.top(); }
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
+  [[nodiscard]] Candidate candidate(std::int32_t slot) const {
+    return cand_[static_cast<std::size_t>(slot)];
   }
-  return sc.key;
+  [[nodiscard]] const SelectionKey& key(std::int32_t slot) const {
+    return index_.entry(slot).score.key;
+  }
+
+  /// Cached key of a live candidate; null once it left the index.
+  [[nodiscard]] const SelectionKey* cached_key(Candidate c) const {
+    const std::int32_t slot = slot_of(c.net, c.edge);
+    return slot >= 0 && index_.contains(slot) ? &index_.entry(slot).score.key
+                                              : nullptr;
+  }
+
+  /// Drops the dead candidates and marks the stale halves of one commit.
+  void absorb(CommitEffects& fx) {
+    for (const std::int32_t e : fx.dead_edges) {
+      const std::int32_t slot = slot_of(fx.net, e);
+      if (slot >= 0) index_.erase(slot);
+    }
+    if (timing_) {
+      mark_net(fx.net);
+      for (const ConstraintId p : fx.moved) {
+        for (const NetId m : router_.analyzer_->nets_of_constraint(p)) {
+          mark_net(m);
+        }
+      }
+    }
+    if (density_) mark_charts(fx.charts);
+  }
+
+  /// Re-fills every marked half of a live candidate and re-sifts the ones
+  /// whose key moved. Called with every key clean except the marked ones;
+  /// the first call fills every key in place and builds the heap. Later
+  /// re-fills are computed aside and written back one at a time, each
+  /// followed by its sift: a heap repairs one changed key at a time, not a
+  /// batch.
+  void refill(bool parallel) {
+    RouteMetrics& metrics = route_metrics();
+    timing_work_.clear();
+    keys_.clear();
+    std::size_t live = 0;
+    for (const std::int32_t slot : stale_) {
+      if (built_ && !index_.contains(slot)) continue;
+      stale_[live] = slot;
+      if (built_) keys_.push_back(index_.entry(slot).score.key);
+      if ((index_.entry(slot).score.stale & kTimingHalf) != 0) {
+        timing_work_.push_back(static_cast<std::int32_t>(live));
+      }
+      ++live;
+    }
+    stale_.resize(live);
+    auto target = [&](std::size_t i) -> SelectionKey& {
+      return built_ ? keys_[i] : index_.entry(stale_[i]).score.key;
+    };
+    auto fill_timing = [&](std::int64_t k) {
+      const auto i = static_cast<std::size_t>(
+          timing_work_[static_cast<std::size_t>(k)]);
+      const Candidate& c = cand_[static_cast<std::size_t>(stale_[i])];
+      router_.score_timing(c.net, c.edge, target(i));
+    };
+    const auto timing_count = static_cast<std::int64_t>(timing_work_.size());
+    if (parallel && timing_count >= kParallelScoreMin) {
+      parallel_for(*router_.exec_, timing_count, fill_timing, kScoreGrain);
+    } else {
+      for (std::int64_t k = 0; k < timing_count; ++k) fill_timing(k);
+    }
+    std::int64_t density_count = 0;
+    std::int64_t sifted = 0;
+    for (std::size_t i = 0; i < stale_.size(); ++i) {
+      const std::int32_t slot = stale_[i];
+      ScoreCache& sc = index_.entry(slot).score;
+      if ((sc.stale & kDensityHalf) != 0) {
+        const Candidate& c = cand_[static_cast<std::size_t>(slot)];
+        EdgeDensityParams* span =
+            span_params_.data() + 2 * static_cast<std::size_t>(slot);
+        if ((sc.stale & kDensitySpan) != 0) {
+          router_.span_density(c.net, c.edge, span);
+        }
+        router_.score_density(c.net, c.edge, span, target(i));
+        ++density_count;
+      }
+      sc.stale = 0;
+      if (built_ && key_compare(sc.key, keys_[i], router_.order_) != 0) {
+        sc.key = keys_[i];
+        index_.update(slot);
+        ++sifted;
+      }
+    }
+    if (!built_) {
+      index_.build();
+      built_ = true;
+    }
+    metrics.rescored_timing.add(timing_count);
+    metrics.rescored_density.add(density_count);
+    metrics.score_miss.add(timing_count + density_count);
+    metrics.sifted.add(sifted);
+    metrics.score_hit.add(static_cast<std::int64_t>(index_.size()) -
+                          static_cast<std::int64_t>(stale_.size()));
+    stale_.clear();
+  }
+
+ private:
+  struct Span {
+    std::int32_t lo;
+    std::int32_t hi;
+    std::int32_t slot;
+  };
+
+  void mark(std::int32_t slot, std::uint8_t half) {
+    if (!index_.contains(slot)) return;
+    ScoreCache& sc = index_.entry(slot).score;
+    if (sc.stale == 0) stale_.push_back(slot);
+    sc.stale |= half;
+  }
+
+  [[nodiscard]] std::int32_t local_net(NetId net) const {
+    const auto it = std::lower_bound(nets_.begin(), nets_.end(), net);
+    return it != nets_.end() && *it == net
+               ? static_cast<std::int32_t>(it - nets_.begin())
+               : -1;
+  }
+
+  /// Slot of candidate (net, edge), or -1 when it is not in this loop.
+  [[nodiscard]] std::int32_t slot_of(NetId net, std::int32_t edge) const {
+    const std::int32_t i = local_net(net);
+    if (i < 0) return -1;
+    const auto first = cand_.begin() + net_first_[static_cast<std::size_t>(i)];
+    const auto last = cand_.begin() + net_first_[static_cast<std::size_t>(i) + 1];
+    const auto it = std::lower_bound(
+        first, last, edge,
+        [](const Candidate& c, std::int32_t e) { return c.edge < e; });
+    return it != last && it->edge == edge
+               ? static_cast<std::int32_t>(it - cand_.begin())
+               : -1;
+  }
+
+  /// Timing half of every live candidate the net's estimate feeds: its
+  /// own, or its primary's when it is a differential shadow.
+  void mark_net(NetId net) {
+    const std::int32_t i = local_net(router_.primary_of(net));
+    if (i < 0) return;
+    for (std::int32_t slot = net_first_[static_cast<std::size_t>(i)];
+         slot < net_first_[static_cast<std::size_t>(i) + 1]; ++slot) {
+      mark(slot, kTimingHalf);
+    }
+  }
+
+  /// Density half of every live candidate an update of the charts moved:
+  /// span overlap re-queries the span maxima, a changed channel aggregate
+  /// re-combines every other candidate of the channel. One pass per
+  /// touched channel, which also compacts the dead candidates out of it.
+  void mark_charts(std::vector<std::pair<std::int32_t, IntInterval>>& charts) {
+    std::sort(charts.begin(), charts.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t t = 0; t < charts.size();) {
+      const std::int32_t channel = charts[t].first;
+      std::size_t t_end = t;
+      while (t_end < charts.size() && charts[t_end].first == channel) ++t_end;
+      const auto it =
+          std::lower_bound(channels_.begin(), channels_.end(), channel);
+      if (it != channels_.end() && *it == channel) {
+        const auto i = static_cast<std::size_t>(it - channels_.begin());
+        const std::uint64_t aggregate =
+            router_.density_->aggregate_version(channel);
+        const bool all = chan_seen_[i] != aggregate;
+        chan_seen_[i] = aggregate;
+        std::int32_t k = chan_first_[i];
+        std::int32_t end = chan_end_[i];
+        while (k < end) {
+          const Span& s = spans_[static_cast<std::size_t>(k)];
+          if (!index_.contains(s.slot)) {
+            spans_[static_cast<std::size_t>(k)] =
+                spans_[static_cast<std::size_t>(--end)];
+            continue;
+          }
+          bool overlap = false;
+          for (std::size_t u = t; u < t_end && !overlap; ++u) {
+            overlap = s.lo <= charts[u].second.hi && charts[u].second.lo <= s.hi;
+          }
+          if (overlap) {
+            mark(s.slot, kDensityHalf | kDensitySpan);
+          } else if (all) {
+            mark(s.slot, kDensityHalf);
+          }
+          ++k;
+        }
+        chan_end_[i] = end;
+      }
+      t = t_end;
+    }
+  }
+
+  GlobalRouter& router_;
+  SelectionIndex index_;
+  std::vector<Candidate> cand_;        // slot → (net, edge), sorted
+  bool timing_;
+  bool density_;
+  bool built_ = false;
+  std::vector<NetId> nets_;            // distinct candidate nets, ascending
+  std::vector<std::int32_t> net_first_;  // nets_[i] owns slots [first[i], first[i+1])
+  std::vector<std::int32_t> channels_;   // distinct channels read, ascending
+  std::vector<std::int32_t> chan_first_;  // channels_[i] owns spans_[first[i], end[i])
+  std::vector<std::int32_t> chan_end_;    // live prefix end (dead ones compacted out)
+  std::vector<std::uint64_t> chan_seen_;  // aggregate version last absorbed
+  std::vector<Span> spans_;
+  std::vector<EdgeDensityParams> span_params_;  // 2 per slot (span_density)
+  std::vector<std::int32_t> stale_;    // slots with a stale half, each once
+  std::vector<std::int32_t> timing_work_;  // indexes into stale_
+  std::vector<SelectionKey> keys_;  // re-filled keys, parallel to stale_ once built
+};
+
+void GlobalRouter::run_selection(
+    std::vector<Candidate> candidates, bool by_name, bool parallel,
+    const std::function<void(Candidate, const SelectionKey&, CommitEffects&)>&
+        commit,
+    std::int64_t* scanned) {
+  // The audit sees the candidate list the loop started from; its oracle
+  // filters it the way the index drops dead candidates.
+  const std::vector<Candidate> audit_list =
+      selection_audit_ ? candidates : std::vector<Candidate>{};
+  Selection selection(*this, std::move(candidates), by_name);
+  parallel = parallel && !exec_->serial();
+  selection.refill(parallel);
+  CommitEffects fx;
+  while (true) {
+    if (scanned != nullptr) {
+      *scanned += static_cast<std::int64_t>(selection.size());
+    }
+    const std::int32_t slot = selection.top();
+    if (slot < 0) break;
+    const Candidate chosen = selection.candidate(slot);
+    if (selection_audit_) {
+      selection_audit_(audit_list, chosen, [&](Candidate c) {
+        return selection.cached_key(c);
+      });
+    }
+    fx.net = chosen.net;
+    fx.dead_edges.clear();
+    fx.charts.clear();
+    fx.moved.clear();
+    commit(chosen, selection.key(slot), fx);
+    selection.absorb(fx);
+    selection.refill(parallel);
+  }
 }
 
-bool GlobalRouter::score_is_fresh(NetId net, std::int32_t edge) const {
-  const auto& vec = scores_[net];
-  const ScoreCache& sc = vec[static_cast<std::size_t>(edge)];
-  return sc.valid && sc.stamp == stamp_for(net, edge);
-}
-
-void GlobalRouter::warm_scores(const std::vector<Candidate>& candidates) {
-  if (exec_->serial()) return;
-  // After the first few deletions most keys are still fresh (the stamps
-  // localize invalidation to the touched nets/channels), so fan out only
-  // over the stale ones; the lazy serial path covers stragglers.
-  stale_.clear();
-  for (const Candidate& c : candidates) {
-    const RoutingGraph& g = *graphs_[c.net];
-    if (!g.graph().edge_alive(c.edge) || g.is_bridge(c.edge)) continue;
-    if (!score_is_fresh(c.net, c.edge)) stale_.push_back(c);
-  }
-  const auto n = static_cast<std::int64_t>(stale_.size());
-  if (n < kParallelScoreMin) return;
-  // Everything the scorers read is frozen for the duration: graphs,
-  // densities and timing only change in commit_delete (serial). The lazy
-  // channel-params cache is the one mutable read path — flush it now so
-  // channel_params() is a pure read from the workers.
-  density_->refresh_params();
-  parallel_for(
-      *exec_, n,
-      [&](std::int64_t i) {
-        const Candidate& c = stale_[static_cast<std::size_t>(i)];
-        (void)cached_key(c.net, c.edge);  // unique (net, edge) per slot
-      },
-      kScoreGrain);
-}
-
-void GlobalRouter::delete_in_graph(NetId net, std::int32_t edge) {
+void GlobalRouter::delete_in_graph(NetId net, std::int32_t edge,
+                                   CommitEffects& fx, bool primary) {
   RoutingGraph& g = *graphs_[net];
   const std::int32_t w = net_density_width(net);
   const auto result = g.delete_edge(edge);
   for (const auto& removed : result.removed_edges) {
+    if (primary) fx.dead_edges.push_back(removed.edge);
     const RouteEdgeInfo& info = g.edge_info(removed.edge);
     if (!info.is_trunk()) continue;
     density_->remove_total(info.channel, info.span, w);
     if (removed.was_bridge) {
       density_->remove_bridge(info.channel, info.span, w);
     }
+    fx.charts.emplace_back(info.channel, info.span);
   }
   for (const auto nb : result.new_bridges) {
+    if (primary) fx.dead_edges.push_back(nb);
     const RouteEdgeInfo& info = g.edge_info(nb);
     if (!info.is_trunk()) continue;
     density_->add_bridge(info.channel, info.span, w);
+    fx.charts.emplace_back(info.channel, info.span);
   }
 }
 
 void GlobalRouter::apply_delete(NetId net, std::int32_t edge,
-                                TimingAnalyzer::UpdateSlot* slot) {
-  delete_in_graph(net, edge);
-  refresh_net_estimate(net, slot);
+                                TimingAnalyzer::UpdateSlot* slot,
+                                CommitEffects& fx) {
+  // Versions of every constraint the pair belongs to, to report the ones
+  // the estimate refresh moved.
   const Net& n = netlist_.net(net);
+  fx.versions.clear();
+  if (options_.use_constraints) {
+    auto snapshot = [&](NetId member) {
+      for (const ConstraintId p : analyzer_->constraints_of_net(member)) {
+        fx.versions.emplace_back(p, analyzer_->version(p));
+      }
+    };
+    snapshot(net);
+    if (n.is_differential()) snapshot(n.diff_partner);
+  }
+  delete_in_graph(net, edge, fx, /*primary=*/true);
+  refresh_net_estimate(net, slot);
   if (n.is_differential()) {
     // Mirrored deletion on the homogeneous shadow graph (§4.1).
-    delete_in_graph(n.diff_partner, edge);
+    delete_in_graph(n.diff_partner, edge, fx, /*primary=*/false);
     refresh_net_estimate(n.diff_partner, slot);
+  }
+  for (const auto& [p, version] : fx.versions) {
+    if (analyzer_->version(p) != version &&
+        std::find(fx.moved.begin(), fx.moved.end(), p) == fx.moved.end()) {
+      fx.moved.push_back(p);
+    }
   }
 }
 
 void GlobalRouter::commit_delete(NetId net, std::int32_t edge,
-                                 PhaseStats& stats) {
-  apply_delete(net, edge, /*slot=*/nullptr);
+                                 PhaseStats& stats, CommitEffects& fx) {
+  apply_delete(net, edge, /*slot=*/nullptr, fx);
   ++stats.deletions;
   route_metrics().deleted_edges.add(1);
   if (options_.deletion_observer) options_.deletion_observer(net, edge);
@@ -465,8 +748,8 @@ bool GlobalRouter::run_sharded_deletion(
         static_cast<std::int64_t>(members.size()));
   }
   if (shards_.shard_count() <= 1) {
-    // One interaction component: the global scan loop the caller falls
-    // back to *is* that single shard's loop, minus the replay detour.
+    // One interaction component: the global loop the caller falls back to
+    // *is* that single shard's loop, minus the replay detour.
     route_metrics().shard_fallbacks.add(1);
     return false;
   }
@@ -506,41 +789,15 @@ bool GlobalRouter::run_sharded_deletion(
         TimingAnalyzer::UpdateSlot& slot =
             slots[static_cast<std::size_t>(exec_->current_slot())];
         std::int64_t scanned = 0;
-        while (true) {
-          // Same compaction scan and (key, net name, edge) tie-break as
-          // the global loop in initial_routing(); no parallel warm-up —
-          // regions never nest.
-          std::size_t write = 0;
-          std::size_t best_index = 0;
-          bool have_best = false;
-          SelectionKey best_key;
-          for (std::size_t i = 0; i < cand.size(); ++i) {
-            const Candidate& c = cand[i];
-            const RoutingGraph& g = *graphs_[c.net];
-            if (!g.graph().edge_alive(c.edge) || g.is_bridge(c.edge)) continue;
-            const SelectionKey& key = cached_key(c.net, c.edge);
-            cand[write] = c;
-            bool take = !have_best || key_less(key, best_key, order_);
-            if (!take && !key_less(best_key, key, order_)) {
-              const Candidate& b = cand[best_index];
-              const std::string& cn = netlist_.net(c.net).name;
-              const std::string& bn = netlist_.net(b.net).name;
-              take = natural_less(cn, bn) || (cn == bn && c.edge < b.edge);
-            }
-            if (take) {
-              best_key = key;
-              best_index = write;
-              have_best = true;
-            }
-            ++write;
-          }
-          cand.resize(write);
-          scanned += static_cast<std::int64_t>(write);
-          if (!have_best) break;
-          const Candidate chosen = cand[best_index];
-          log.push_back(CommitRec{chosen.net, chosen.edge, best_key});
-          apply_delete(chosen.net, chosen.edge, &slot);
-        }
+        // The global loop's selection, minus the parallel re-fill —
+        // regions never nest.
+        run_selection(
+            std::move(cand), /*by_name=*/true, /*parallel=*/false,
+            [&](Candidate chosen, const SelectionKey& key, CommitEffects& fx) {
+              log.push_back(CommitRec{chosen.net, chosen.edge, key});
+              apply_delete(chosen.net, chosen.edge, &slot, fx);
+            },
+            &scanned);
         shards_.scans[static_cast<std::size_t>(s)] = scanned;
         shards_.commits[static_cast<std::size_t>(s)] =
             static_cast<std::int64_t>(log.size());
@@ -665,70 +922,41 @@ void GlobalRouter::initial_routing(PhaseStats& stats) {
     }
   }
 
+  // Key ties break on (net name, edge) rather than raw net ids: names
+  // survive a relabeling of the netlist, so the deletion order (and thus
+  // the routed result) is invariant under net-id permutation.
+  std::vector<NetId> by_name;
+  for (const NetId n : netlist_.nets()) by_name.push_back(n);
+  std::sort(by_name.begin(), by_name.end(), [&](NetId a, NetId b) {
+    return natural_less(netlist_.net(a).name, netlist_.net(b).name);
+  });
+  name_rank_.assign(by_name.size(), 0);
+  for (std::size_t i = 0; i < by_name.size(); ++i) {
+    name_rank_[by_name[i]] = static_cast<std::int32_t>(i);
+  }
+
   if (options_.shard_deletion && run_sharded_deletion(candidates, stats)) {
     return;
   }
-
-  while (true) {
-    // Score all surviving candidates in parallel, then pick the winner in
-    // the serial scan below — first smallest key wins, which is the same
-    // deterministic (score, net, edge) tie-break the pure serial loop
-    // applies, so edge-deletion order is independent of the thread count.
-    warm_scores(candidates);
-    std::size_t write = 0;
-    std::size_t best_index = 0;
-    bool have_best = false;
-    SelectionKey best_key;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const Candidate& c = candidates[i];
-      const RoutingGraph& g = *graphs_[c.net];
-      if (!g.graph().edge_alive(c.edge) || g.is_bridge(c.edge)) continue;
-      const SelectionKey& key = cached_key(c.net, c.edge);
-      candidates[write] = c;
-      bool take = !have_best || key_less(key, best_key, order_);
-      if (!take && !key_less(best_key, key, order_)) {
-        // Exact key tie: break on (net name, edge) instead of the scan
-        // order, which follows raw net ids — names survive a relabeling
-        // of the netlist, so the deletion order (and thus the routed
-        // result) is invariant under net-id permutation.
-        const Candidate& b = candidates[best_index];
-        const std::string& cn = netlist_.net(c.net).name;
-        const std::string& bn = netlist_.net(b.net).name;
-        take = natural_less(cn, bn) || (cn == bn && c.edge < b.edge);
-      }
-      if (take) {
-        best_key = key;
-        best_index = write;
-        have_best = true;
-      }
-      ++write;
-    }
-    candidates.resize(write);
-    if (!have_best) break;
-    const Candidate chosen = candidates[best_index];
-    commit_delete(chosen.net, chosen.edge, stats);
-  }
+  run_selection(
+      std::move(candidates), /*by_name=*/true, /*parallel=*/true,
+      [&](Candidate chosen, const SelectionKey&, CommitEffects& fx) {
+        commit_delete(chosen.net, chosen.edge, stats, fx);
+      },
+      nullptr);
 }
 
 void GlobalRouter::reduce_net_to_tree(NetId net, PhaseStats& stats) {
-  std::vector<Candidate> warm;
-  while (true) {
-    const auto candidates = graphs_[net]->non_bridge_edges();
-    if (candidates.empty()) break;
-    warm.clear();
-    for (const auto e : candidates) warm.push_back(Candidate{net, e});
-    warm_scores(warm);
-    std::int32_t best = -1;
-    SelectionKey best_key;
-    for (const auto e : candidates) {
-      const SelectionKey& key = cached_key(net, e);
-      if (best < 0 || key_less(key, best_key, order_)) {
-        best_key = key;
-        best = e;
-      }
-    }
-    commit_delete(net, best, stats);
+  std::vector<Candidate> candidates;
+  for (const auto e : graphs_[net]->non_bridge_edges()) {
+    candidates.push_back(Candidate{net, e});
   }
+  run_selection(
+      std::move(candidates), /*by_name=*/false, /*parallel=*/true,
+      [&](Candidate chosen, const SelectionKey&, CommitEffects& fx) {
+        commit_delete(chosen.net, chosen.edge, stats, fx);
+      },
+      nullptr);
 }
 
 void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
@@ -749,9 +977,6 @@ void GlobalRouter::reroute_net(NetId net, PhaseStats& stats) {
     graphs_[member]->set_path_search(path_engine_.get());
     route_metrics().graphs_built.add(1);
     route_metrics().graph_edges.record(graphs_[member]->graph().edge_count());
-    scores_[member].assign(
-        static_cast<std::size_t>(graphs_[member]->graph().edge_count()),
-        ScoreCache{});
     register_graph_density(member);
     refresh_net_estimate(member);
   }
@@ -824,11 +1049,9 @@ void GlobalRouter::improve_delay(PhaseStats& stats) {
 
 void GlobalRouter::improve_area(PhaseStats& stats) {
   const CriteriaOrder saved = order_;
+  // Keys do not read the tier order, only the comparison does: each
+  // reroute below builds its selection index under the new order.
   order_ = CriteriaOrder::kAreaFirst;
-  // The tier order changed, so every cached key is stale.
-  for (auto& vec : scores_) {
-    for (auto& sc : vec) sc.valid = false;
-  }
   for (std::int32_t pass = 0; pass < options_.improvement_passes; ++pass) {
     const std::int64_t before = density_->sum_max_density();
     // Nets running through the most congested points, most congested first.
@@ -868,9 +1091,6 @@ void GlobalRouter::improve_area(PhaseStats& stats) {
     if (density_->sum_max_density() >= before) break;
   }
   order_ = saved;
-  for (auto& vec : scores_) {
-    for (auto& sc : vec) sc.valid = false;
-  }
 }
 
 void GlobalRouter::finish_phase(PhaseStats& stats) {

@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bgr/common/ids.hpp"
@@ -55,7 +56,7 @@ struct RouterOptions {
   /// the RouteOutcome — is bit-identical to the unsharded serial greedy at
   /// any thread count. Designs that form a single interaction component
   /// fall back to the unsharded loop automatically. Only the concurrent
-  /// initial-routing phase shards; `false` keeps the global scan loop.
+  /// initial-routing phase shards; `false` keeps the global loop.
   bool shard_deletion = true;
   /// Improvement phases (§3.5).
   bool enable_violation_recovery = true;
@@ -211,10 +212,26 @@ class GlobalRouter {
   }
 
  private:
+  /// Test access (tests/test_selection_index.cpp): installs the selection
+  /// audit below and exposes compute_key as the brute-force oracle.
+  friend struct SelectionOracle;
+
   struct Candidate {
     NetId net;
     std::int32_t edge;
   };
+  /// What one committed deletion moved, as the selection index consumes it
+  /// (DESIGN.md §17): the primary's candidate edges that died, every chart
+  /// update, and the constraints whose timing version moved.
+  struct CommitEffects {
+    NetId net;
+    std::vector<std::int32_t> dead_edges;  // removed edges + new bridges
+    std::vector<std::pair<std::int32_t, IntInterval>> charts;  // (channel, span)
+    std::vector<ConstraintId> moved;
+    std::vector<std::pair<ConstraintId, std::uint64_t>> versions;  // scratch
+  };
+  /// Selection state of one deletion loop; defined in router.cpp.
+  class Selection;
 
   void build_all_graphs();
   void register_graph_density(NetId net);
@@ -222,28 +239,45 @@ class GlobalRouter {
   void refresh_net_estimate(NetId net,
                             TimingAnalyzer::UpdateSlot* slot = nullptr);
   [[nodiscard]] std::int32_t net_density_width(NetId net) const;
-  [[nodiscard]] std::uint64_t stamp_for(NetId net, std::int32_t edge) const;
-  [[nodiscard]] bool score_is_fresh(NetId net, std::int32_t edge) const;
+  /// The two halves of a candidate's SelectionKey (criteria.hpp): each
+  /// overwrites only its own fields of `key`. The density half combines
+  /// the live channel aggregates with the edge's span maxima `span`, which
+  /// span_density() queries: one entry per channel the edge reads (two for
+  /// a feedthrough, which touches both adjacent channels).
+  void score_timing(NetId net, std::int32_t edge, SelectionKey& key) const;
+  void span_density(NetId net, std::int32_t edge,
+                    EdgeDensityParams span[2]) const;
+  void score_density(NetId net, std::int32_t edge,
+                     const EdgeDensityParams span[2], SelectionKey& key) const;
+  /// Both halves from scratch — what the index's cached key must equal.
   [[nodiscard]] SelectionKey compute_key(NetId net, std::int32_t edge) const;
-  [[nodiscard]] const SelectionKey& cached_key(NetId net, std::int32_t edge);
-  /// Parallel score warm-up: fills the per-edge key caches for all alive
-  /// non-bridge candidates so the (serial) winner scan only reads. A pure
-  /// cache fill — values are exactly what the scan would compute lazily —
-  /// so thread count cannot change the selected edge.
-  void warm_scores(const std::vector<Candidate>& candidates);
+  /// The greedy §3.4 loop shared by the global, per-shard and per-net
+  /// deletion loops: while a candidate survives, select the index winner
+  /// and hand it to `commit`, which applies the deletion and fills the
+  /// effects the index then absorbs. `by_name` ranks key ties by net name
+  /// (multi-net loops); `parallel` lets timing re-fills fan out (never
+  /// inside a parallel region). `scanned`, when set, accumulates the live
+  /// candidate count of every selection round.
+  void run_selection(
+      std::vector<Candidate> candidates, bool by_name, bool parallel,
+      const std::function<void(Candidate, const SelectionKey&,
+                               CommitEffects&)>& commit,
+      std::int64_t* scanned);
   /// State mutation of one committed deletion (graph surgery + density +
   /// estimate/STA refresh). The sharded loop calls it from workers with a
   /// per-worker timing slot; commit_delete wraps it with the bookkeeping
   /// (stats, metrics, observer) that must stay on the caller thread.
   void apply_delete(NetId net, std::int32_t edge,
-                    TimingAnalyzer::UpdateSlot* slot);
-  void commit_delete(NetId net, std::int32_t edge, PhaseStats& stats);
+                    TimingAnalyzer::UpdateSlot* slot, CommitEffects& fx);
+  void commit_delete(NetId net, std::int32_t edge, PhaseStats& stats,
+                     CommitEffects& fx);
   /// Sharded §3.4 deletion loop (DESIGN.md §13). Returns false when the
   /// decomposition degenerates to a single shard — the caller then runs
-  /// the classic global scan loop instead.
+  /// the global loop instead.
   bool run_sharded_deletion(const std::vector<Candidate>& candidates,
                             PhaseStats& stats);
-  void delete_in_graph(NetId net, std::int32_t edge);
+  void delete_in_graph(NetId net, std::int32_t edge, CommitEffects& fx,
+                       bool primary);
   /// Deletes edges of one net until its graph is a tree (local loop used by
   /// rip-up/re-route).
   void reduce_net_to_tree(NetId net, PhaseStats& stats);
@@ -273,9 +307,7 @@ class GlobalRouter {
   std::unique_ptr<FeedthroughAssignment> assignment_;
   std::unique_ptr<DensityMap> density_;
   IdVector<NetId, std::unique_ptr<RoutingGraph>> graphs_;
-  IdVector<NetId, std::vector<ScoreCache>> scores_;
-  std::vector<Candidate> stale_;  // warm_scores scratch, reused across calls
-  IdVector<NetId, std::uint64_t> net_version_;
+  IdVector<NetId, std::int32_t> name_rank_;  // natural order of net names
   IdVector<NetId, double> net_budget_ps_;  // kNetBudgets mode only
   IdVector<NetId, double> extra_um_;       // back-annotated length corrections
   ShardDecomposition shards_;
@@ -283,6 +315,14 @@ class GlobalRouter {
   RunState run_state_ = RunState::kIdle;
   std::int32_t feed_cells_added_ = 0;
   std::int32_t widen_pitches_ = 0;
+  /// Test hook (SelectionOracle): called at every selection of every
+  /// deletion loop, before the commit, with the loop's candidate list, its
+  /// winner and a lookup of any candidate's cached key (null once the
+  /// candidate left the index). Shard workers call it concurrently.
+  using CachedKeyLookup = std::function<const SelectionKey*(Candidate)>;
+  std::function<void(const std::vector<Candidate>&, Candidate,
+                     const CachedKeyLookup&)>
+      selection_audit_;
 };
 
 }  // namespace bgr

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bgr/common/rng.hpp"
 
 namespace bgr {
@@ -158,6 +162,130 @@ TEST_P(DensityRandom, ParamsMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DensityRandom, ::testing::Values(1u, 2u, 3u));
+
+TEST(Density, AggregateVersionMovesOnlyOnParamChange) {
+  DensityMap map(2, 10);
+  const auto a0 = map.aggregate_version(0);
+  map.add_total(0, {0, 9}, 1);  // max 0 → 1 on every column
+  EXPECT_GT(map.aggregate_version(0), a0);
+  EXPECT_EQ(map.aggregate_version(1), 0u);
+  const auto a1 = map.aggregate_version(0);
+  map.add_total(0, {2, 3}, 2);  // new peak 3 on two columns
+  const auto a2 = map.aggregate_version(0);
+  EXPECT_GT(a2, a1);
+  map.add_total(0, {7, 7}, 1);  // 2, below the peak: C_M, NC_M unchanged
+  EXPECT_EQ(map.aggregate_version(0), a2);
+  map.remove_total(0, {7, 7}, 1);
+  EXPECT_EQ(map.aggregate_version(0), a2);
+  map.add_total(0, {5, 5}, 2);  // third column at the peak: NC_M moves
+  EXPECT_GT(map.aggregate_version(0), a2);
+}
+
+/// Property sweep for the segment-tree charts: multi-pitch add/remove
+/// sequences over several channels and widths (powers of two and not),
+/// checked against a naive column scan after every update — every column,
+/// the channel aggregates, edge params over random spans, and the
+/// aggregate version moving exactly when the aggregates changed.
+TEST(Density, SegmentTreeMatchesNaiveColumnScan) {
+  struct Naive {
+    std::vector<std::int32_t> total, bridge;
+  };
+  auto max_count = [](const std::vector<std::int32_t>& chart,
+                      std::int32_t lo, std::int32_t hi) {
+    std::int32_t best = 0, count = 0;
+    for (std::int32_t x = lo; x <= hi; ++x) {
+      const auto v = chart[static_cast<std::size_t>(x)];
+      if (v > best) {
+        best = v;
+        count = 1;
+      } else if (v == best) {
+        ++count;
+      }
+    }
+    return std::pair<std::int32_t, std::int32_t>{best, count};
+  };
+  for (const std::int32_t width : {1, 7, 16, 37, 100}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    Rng rng(static_cast<std::uint64_t>(width) * 31 + 7);
+    constexpr std::int32_t kChannels = 3;
+    DensityMap map(kChannels, width);
+    std::vector<Naive> naive(kChannels);
+    for (auto& n : naive) {
+      n.total.assign(static_cast<std::size_t>(width), 0);
+      n.bridge.assign(static_cast<std::size_t>(width), 0);
+    }
+    struct Op {
+      std::int32_t channel;
+      IntInterval span;
+      std::int32_t w;
+      bool is_bridge;
+    };
+    std::vector<Op> live;
+    for (int step = 0; step < 400; ++step) {
+      const bool add = live.empty() || rng.bernoulli(0.55);
+      Op op;
+      if (add) {
+        op = Op{rng.uniform_i32(0, kChannels - 1),
+                IntInterval::spanning(rng.uniform_i32(0, width - 1),
+                                      rng.uniform_i32(0, width - 1)),
+                rng.uniform_i32(1, 4), rng.bernoulli(0.4)};
+        live.push_back(op);
+      } else {
+        const auto i = static_cast<std::size_t>(
+            rng.uniform(0, static_cast<std::int64_t>(live.size()) - 1));
+        op = live[i];
+        live[i] = live.back();
+        live.pop_back();
+      }
+      const ChannelDensityParams before = map.channel_params(op.channel);
+      const auto aggregate = map.aggregate_version(op.channel);
+      const std::int32_t delta = add ? op.w : -op.w;
+      auto& chart = op.is_bridge ? naive[static_cast<std::size_t>(op.channel)].bridge
+                                 : naive[static_cast<std::size_t>(op.channel)].total;
+      for (std::int32_t x = op.span.lo; x <= op.span.hi; ++x) {
+        chart[static_cast<std::size_t>(x)] += delta;
+      }
+      if (op.is_bridge) {
+        add ? map.add_bridge(op.channel, op.span, op.w)
+            : map.remove_bridge(op.channel, op.span, op.w);
+      } else {
+        add ? map.add_total(op.channel, op.span, op.w)
+            : map.remove_total(op.channel, op.span, op.w);
+      }
+      for (std::int32_t c = 0; c < kChannels; ++c) {
+        const Naive& n = naive[static_cast<std::size_t>(c)];
+        for (std::int32_t x = 0; x < width; ++x) {
+          ASSERT_EQ(map.total_at(c, x), n.total[static_cast<std::size_t>(x)]);
+          ASSERT_EQ(map.bridge_at(c, x), n.bridge[static_cast<std::size_t>(x)]);
+        }
+        const auto [c_max, nc_max] = max_count(n.total, 0, width - 1);
+        const auto [c_min, nc_min] = max_count(n.bridge, 0, width - 1);
+        const ChannelDensityParams& p = map.channel_params(c);
+        ASSERT_EQ(p.c_max, c_max);
+        ASSERT_EQ(p.nc_max, nc_max);
+        ASSERT_EQ(p.c_min, c_min);
+        ASSERT_EQ(p.nc_min, nc_min);
+        for (int q = 0; q < 4; ++q) {
+          const IntInterval span = IntInterval::spanning(
+              rng.uniform_i32(0, width - 1), rng.uniform_i32(0, width - 1));
+          const auto [d_max, nd_max] = max_count(n.total, span.lo, span.hi);
+          const auto [d_min, nd_min] = max_count(n.bridge, span.lo, span.hi);
+          const EdgeDensityParams ep = map.edge_params(c, span);
+          ASSERT_EQ(ep.d_max, d_max);
+          ASSERT_EQ(ep.nd_max, nd_max);
+          ASSERT_EQ(ep.d_min, d_min);
+          ASSERT_EQ(ep.nd_min, nd_min);
+        }
+      }
+      const ChannelDensityParams& after = map.channel_params(op.channel);
+      const bool changed = after.c_max != before.c_max ||
+                           after.nc_max != before.nc_max ||
+                           after.c_min != before.c_min ||
+                           after.nc_min != before.nc_min;
+      EXPECT_EQ(map.aggregate_version(op.channel) != aggregate, changed);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace bgr

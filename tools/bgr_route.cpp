@@ -14,7 +14,7 @@
 //                         is bit-identical either way
 //     --shard-deletion {on,off}
 //                         sharded concurrent edge deletion (on, the
-//                         default) or the single global scan loop (off);
+//                         default) or the single global loop (off);
 //                         the routed result is bit-identical either way
 //     --min-capacity-search
 //                         instead of routing once, binary-search the

@@ -40,6 +40,10 @@ ROUTE_SECTIONS = ("design", "options", "result", "stats", "phases", "run")
 ROUTE_SEMANTIC_METRICS = (
     "route.deleted_edges",
     "route.graphs_built",
+    "route.score_cache_miss",
+    "select.rescored_timing",
+    "select.rescored_density",
+    "select.sifted",
     "path.searches",
     "path.pops",
     "path.relaxations",
@@ -136,6 +140,16 @@ def check_report(report, path):
                 semantic["path.searches"] != answered:
             fail(f"{path}: path.searches {semantic['path.searches']} != "
                  f"path.cache_hits + path.cone_repairs ({answered})")
+        # Every score-cache miss is one re-filled key half of the
+        # selection index (DESIGN.md §17): timing or density.
+        rescored = (semantic["select.rescored_timing"] +
+                    semantic["select.rescored_density"])
+        if not report["run"].get("shared_registry") and \
+                semantic["route.score_cache_miss"] != rescored:
+            fail(f"{path}: route.score_cache_miss "
+                 f"{semantic['route.score_cache_miss']} != "
+                 f"select.rescored_timing + select.rescored_density "
+                 f"({rescored})")
         if not isinstance(report["phases"], list) or not report["phases"]:
             fail(f"{path}: 'phases' must be a non-empty array")
         for ph in report["phases"]:
