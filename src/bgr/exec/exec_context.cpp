@@ -15,9 +15,9 @@ namespace bgr {
 
 namespace {
 
-/// Region/chunk totals depend on whether the serial fast paths fire
-/// (thread count 1 skips the parallel timing re-fills entirely), so they live in the
-/// nondeterministic namespace alongside the wall-time metrics.
+/// Region/chunk totals depend on the thread count (a serial analyzer
+/// sweeps its constraints inline instead of fanning out), so they live in
+/// the nondeterministic namespace alongside the wall-time metrics.
 struct ExecMetrics {
   Counter& regions = MetricsRegistry::global().counter(
       "exec.regions", MetricScope::kNonDeterministic);
@@ -118,7 +118,6 @@ void ExecContext::run_chunks(std::int64_t chunk_count,
   exec_metrics().regions.add(1);
   exec_metrics().chunks.add(chunk_count);
   if (serial() || chunk_count == 1) {
-    ++stats_.serial_regions;
     for (std::int64_t c = 0; c < chunk_count; ++c) chunk_fn(c);
     return;
   }

@@ -13,10 +13,9 @@ namespace bgr {
 /// perturb results; the router snapshots them per phase for the CPU-time
 /// report.
 struct ExecStats {
-  std::int64_t regions = 0;         // parallel regions entered
-  std::int64_t serial_regions = 0;  // regions that ran inline (fallback)
-  std::int64_t chunks = 0;          // chunks dispatched across all regions
-  std::int64_t items = 0;           // loop iterations covered
+  std::int64_t regions = 0;  // parallel regions entered
+  std::int64_t chunks = 0;   // chunks dispatched across all regions
+  std::int64_t items = 0;    // loop iterations covered
 };
 
 /// Execution context for the deterministic parallel primitives: a thread
@@ -26,10 +25,9 @@ struct ExecStats {
 /// runs inline, in chunk order.
 ///
 /// Determinism contract: chunk *partitioning* is a function of the problem
-/// size only (never of the thread count), and every reduction folds
-/// per-chunk partials in chunk order on the calling thread. Any algorithm
-/// built on these primitives therefore produces bit-identical results for
-/// 1 and N threads.
+/// size only (never of the thread count), and every chunk writes only its
+/// own slots. Any algorithm built on these primitives therefore produces
+/// bit-identical results for 1 and N threads.
 class ExecContext {
  public:
   explicit ExecContext(std::int32_t threads = 1);
@@ -39,10 +37,9 @@ class ExecContext {
   /// regions dispatch to `shared_pool`'s workers plus the calling thread,
   /// so thread_count() is worker_count() + 1; the context never owns or
   /// destroys the pool. Determinism is unaffected by sharing: chunk
-  /// partitioning stays size-driven and every reduction folds in chunk
-  /// order on the calling thread, so which pool the chunks land on — and
-  /// which other contexts' chunks interleave with them — cannot change
-  /// any result (see DESIGN.md §12).
+  /// partitioning stays size-driven and chunks write disjoint slots, so
+  /// which pool the chunks land on — and which other contexts' chunks
+  /// interleave with them — cannot change any result (see DESIGN.md §12).
   explicit ExecContext(ThreadPool* shared_pool);
 
   ~ExecContext();
@@ -73,7 +70,7 @@ class ExecContext {
   void run_chunks(std::int64_t chunk_count,
                   const std::function<void(std::int64_t)>& chunk_fn);
 
-  /// Stats bookkeeping used by parallel_for/parallel_reduce; also feeds
+  /// Stats bookkeeping used by parallel_for; also feeds
   /// the process-wide `exec.items` metric.
   void note_items(std::int64_t n);
 

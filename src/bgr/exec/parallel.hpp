@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "bgr/exec/exec_context.hpp"
 
@@ -37,34 +35,6 @@ void parallel_for(ExecContext& exec, std::int64_t n, Fn&& fn,
     const std::int64_t hi = std::min<std::int64_t>(n, lo + grain);
     for (std::int64_t i = lo; i < hi; ++i) fn(i);
   });
-}
-
-/// Deterministic ordered reduction: acc = combine(acc, map(i)) folded over
-/// i in [0, n) — per-chunk partials first, then the partials left-to-right
-/// in chunk order on the calling thread. Because the fold tree is a
-/// function of (n, grain) alone, the result is bit-identical for any
-/// thread count even when combine is not associative (floating-point sum,
-/// first-wins argmin, ...).
-template <typename T, typename Map, typename Combine>
-[[nodiscard]] T parallel_reduce(ExecContext& exec, std::int64_t n, T init,
-                                Map&& map, Combine&& combine,
-                                std::int64_t grain = kDefaultGrain) {
-  const std::int64_t chunks = chunk_count_for(n, grain);
-  if (chunks == 0) return init;
-  exec.note_items(n);
-  std::vector<T> partials(static_cast<std::size_t>(chunks), init);
-  exec.run_chunks(chunks, [&](std::int64_t c) {
-    T acc = init;
-    const std::int64_t lo = c * grain;
-    const std::int64_t hi = std::min<std::int64_t>(n, lo + grain);
-    for (std::int64_t i = lo; i < hi; ++i) {
-      acc = combine(std::move(acc), map(i));
-    }
-    partials[static_cast<std::size_t>(c)] = std::move(acc);
-  });
-  T result = init;
-  for (T& p : partials) result = combine(std::move(result), std::move(p));
-  return result;
 }
 
 }  // namespace bgr

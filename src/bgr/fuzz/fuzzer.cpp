@@ -65,8 +65,7 @@ const BaseTexts& base_texts() {
     // mutator corrupts ids, option keys, escapes and frame boundaries.
     out.serve =
         "{\"id\": \"j1\", \"dataset\": \"C1P1\", \"options\": "
-        "{\"rc\": true, \"improvement_passes\": 3, "
-        "\"incremental_sta\": false}, \"report\": true}\n"
+        "{\"rc\": true, \"improvement_passes\": 3}, \"report\": true}\n"
         "{\"id\": \"j2\", \"design\": \"bgr-design 1\\nname fz0\\n\", "
         "\"verify\": true, \"route_text\": false}\n"
         "{\"id\": \"j3\", \"design_file\": \"/tmp/design.txt\", "

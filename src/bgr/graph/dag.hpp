@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bgr/common/check.hpp"
-#include "bgr/exec/exec_context.hpp"
 
 namespace bgr {
 
@@ -69,7 +68,7 @@ class Dag {
   /// from any zero-indegree vertex). Available after freeze().
   [[nodiscard]] std::int32_t level_count() const {
     BGR_CHECK(frozen_);
-    return static_cast<std::int32_t>(level_offsets_.size()) - 1;
+    return level_count_;
   }
   [[nodiscard]] std::int32_t level_of(std::int32_t v) const {
     BGR_CHECK(frozen_);
@@ -78,21 +77,15 @@ class Dag {
 
   /// Longest-path distance from any vertex of `sources` to every vertex
   /// (kMinusInf when unreachable). If `subset` is non-empty it masks the
-  /// graph: only vertices with subset[v] participate. With a non-serial
-  /// `exec`, the sweep runs levelized: vertices of one topological level
-  /// pull from their in-edges concurrently. Every in-edge contributes
-  /// through max() only, so the parallel sweep is bit-identical to the
-  /// serial one.
+  /// graph: only vertices with subset[v] participate.
   [[nodiscard]] std::vector<double> longest_from(
       const std::vector<std::int32_t>& sources,
-      const std::vector<bool>& subset = {},
-      ExecContext* exec = nullptr) const;
+      const std::vector<bool>& subset = {}) const;
 
   /// Longest-path distance from every vertex to any vertex of `sinks`.
   [[nodiscard]] std::vector<double> longest_to(
       const std::vector<std::int32_t>& sinks,
-      const std::vector<bool>& subset = {},
-      ExecContext* exec = nullptr) const;
+      const std::vector<bool>& subset = {}) const;
 
   /// Vertices lying on some path from `sources` to `sinks` (the support of
   /// the constraint graph G_d(P)).
@@ -126,15 +119,10 @@ class Dag {
   std::vector<std::int32_t> in_offsets_;
   std::vector<std::int32_t> in_list_;
   std::vector<std::int32_t> topo_;
-  /// Forward levels: level_vertices_[level_offsets_[l] .. level_offsets_[l+1])
-  /// lists the vertices of level l in ascending id order; mirrored for the
-  /// reverse (sink-side) levelization used by longest_to.
+  /// Forward topological level of every vertex (DirtyPropagator buckets
+  /// its dirty cone by it).
   std::vector<std::int32_t> level_of_;
-  std::vector<std::int32_t> level_offsets_;
-  std::vector<std::int32_t> level_vertices_;
-  std::vector<std::int32_t> rlevel_of_;
-  std::vector<std::int32_t> rlevel_offsets_;
-  std::vector<std::int32_t> rlevel_vertices_;
+  std::int32_t level_count_ = 0;
   bool frozen_ = false;
 };
 

@@ -117,7 +117,6 @@ RunReport make_run_report(const GlobalRouter& router,
               opt.delay_model == DelayModel::kElmoreRC ? "elmore_rc"
                                                        : "lumped_c");
   options.set("concurrent_initial", opt.concurrent_initial);
-  options.set("incremental_sta", opt.incremental_sta);
   options.set("improvement_passes",
               static_cast<std::int64_t>(opt.improvement_passes));
 

@@ -13,9 +13,10 @@ namespace {
 /// Search-effort counters. Everything value-driven is semantic: the set of
 /// searches the router runs is a function of the design alone (the
 /// selection index re-fills the same stale timing halves at any thread
-/// count), and each
-/// search's pop/relax counts are a function of the graph and the engine. Arena reuse/growth, by contrast, depends on which exec slot a
-/// chunk happens to land on — schedule-dependent, so nondeterministic.
+/// count), and each search's pop/relax counts are a function of the graph
+/// and the engine. Arena reuse/growth, by contrast, depends on which exec
+/// slot a chunk happens to land on — schedule-dependent, so
+/// nondeterministic.
 struct PathMetrics {
   Counter& searches = MetricsRegistry::global().counter(
       "path.searches", MetricScope::kSemantic);

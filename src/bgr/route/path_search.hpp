@@ -115,8 +115,9 @@ SearchEffort path_search_tree(const SmallGraph& graph, std::int32_t source,
                               std::vector<std::int32_t>* out);
 
 /// Cached no-skip reference search over one routing graph, rebuilt at the
-/// serial mutation points (graph build, committed edge deletion) and read
-/// concurrently by the parallel timing re-fills. The scoring loop asks for the
+/// graph's mutation points (graph build, committed edge deletion). Shard
+/// workers search concurrently, each over its own shard's graphs only, so
+/// no cache is read while it is rebuilt. The scoring loop asks for the
 /// tentative tree under dozens of hypothetical single-edge deletions of
 /// the *same* graph; the cache answers most of them without a search:
 ///
@@ -143,9 +144,8 @@ struct SearchCache {
 };
 
 /// Search-effort totals the router snapshots per phase. Value-driven, so
-/// deterministic across thread counts (the selection index re-fills the
-/// same stale timing halves whether or not they fan out, hence the same
-/// searches run).
+/// deterministic across thread counts (which timing halves go stale is a
+/// function of values only, hence the same searches run).
 struct PathSearchStats {
   std::int64_t searches = 0;
   std::int64_t pops = 0;
@@ -154,7 +154,7 @@ struct PathSearchStats {
 
 /// Path-search engine shared by one router: the engine choice, one
 /// scratch arena per exec slot (indexed by ExecContext::current_slot, so
-/// concurrent timing re-fill searches never share state), and the running
+/// the searches of concurrent shard workers never share state), and the running
 /// effort totals. RoutingGraphs get a pointer via set_path_search();
 /// graphs without an engine fall back to the reference search over a
 /// private scratch.
@@ -170,9 +170,9 @@ class PathSearchEngine {
   [[nodiscard]] PathSearchBackend backend() const { return backend_; }
 
   /// Rebuilds a graph's search cache with one full reference search (seq
-  /// recording included) plus the canonical tree. Must be called from the
-  /// graph's serial mutation points only — the cache is read lock-free by
-  /// concurrent scorers. The build's pops/relaxations fold into the effort
+  /// recording included) plus the canonical tree. Must be called only by
+  /// the thread that owns the graph (its build chunk or its shard's
+  /// worker): the cache is read lock-free. The build's pops/relaxations fold into the effort
   /// totals, but it is not counted as a search: `searches` stays the query
   /// count, identical across engines.
   void refresh_cache(const SmallGraph& graph, std::int32_t source,

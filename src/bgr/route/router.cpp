@@ -19,8 +19,8 @@ namespace {
 /// Router metrics. Deletions, reroutes, graph builds and the selection
 /// index's work counters are semantic: which key halves go stale after a
 /// commit is a function of values only, so the same re-fills and sifts run
-/// whether the timing re-fills fan out or not. `route.score_cache_miss`
-/// counts re-filled halves (select.rescored_timing + select.rescored_density);
+/// at any thread count. `route.score_cache_miss` counts re-filled halves
+/// (select.rescored_timing + select.rescored_density);
 /// `route.score_cache_hit` counts live candidates whose cached key a
 /// selection round reused (nondeterministic scope, so semantic diffs skip
 /// it).
@@ -65,17 +65,6 @@ RouteMetrics& route_metrics() {
   static RouteMetrics* const m = new RouteMetrics();
   return *m;
 }
-
-/// Minimum number of stale *timing* halves before a re-fill fans out. One
-/// half is a tentative-tree search plus an STA evaluation (a few µs), so
-/// below this a region's wake-up cost eats the saving — at 32, the 10k
-/// preset's improve_area ran ~2.6k regions of one net's candidates each.
-/// Purely a performance knob: the halves are identical either way.
-/// Density halves (O(log W) range queries) always re-fill serially.
-constexpr std::int64_t kParallelScoreMin = 128;
-/// Timing re-fills per chunk (one is a tentative-tree search plus an STA
-/// evaluation, so chunks stay small for load balance).
-constexpr std::int64_t kScoreGrain = 16;
 
 }  // namespace
 
@@ -420,57 +409,38 @@ class GlobalRouter::Selection {
   /// Re-fills every marked half of a live candidate and re-sifts the ones
   /// whose key moved. Called with every key clean except the marked ones;
   /// the first call fills every key in place and builds the heap. Later
-  /// re-fills are computed aside and written back one at a time, each
-  /// followed by its sift: a heap repairs one changed key at a time, not a
-  /// batch.
-  void refill(bool parallel) {
+  /// re-fills compute each key aside and write it back followed by its
+  /// sift: a heap repairs one changed key at a time, not a batch.
+  void refill() {
     RouteMetrics& metrics = route_metrics();
-    timing_work_.clear();
-    keys_.clear();
-    std::size_t live = 0;
-    for (const std::int32_t slot : stale_) {
-      if (built_ && !index_.contains(slot)) continue;
-      stale_[live] = slot;
-      if (built_) keys_.push_back(index_.entry(slot).score.key);
-      if ((index_.entry(slot).score.stale & kTimingHalf) != 0) {
-        timing_work_.push_back(static_cast<std::int32_t>(live));
-      }
-      ++live;
-    }
-    stale_.resize(live);
-    auto target = [&](std::size_t i) -> SelectionKey& {
-      return built_ ? keys_[i] : index_.entry(stale_[i]).score.key;
-    };
-    auto fill_timing = [&](std::int64_t k) {
-      const auto i = static_cast<std::size_t>(
-          timing_work_[static_cast<std::size_t>(k)]);
-      const Candidate& c = cand_[static_cast<std::size_t>(stale_[i])];
-      router_.score_timing(c.net, c.edge, target(i));
-    };
-    const auto timing_count = static_cast<std::int64_t>(timing_work_.size());
-    if (parallel && timing_count >= kParallelScoreMin) {
-      parallel_for(*router_.exec_, timing_count, fill_timing, kScoreGrain);
-    } else {
-      for (std::int64_t k = 0; k < timing_count; ++k) fill_timing(k);
-    }
+    std::int64_t live = 0;
+    std::int64_t timing_count = 0;
     std::int64_t density_count = 0;
     std::int64_t sifted = 0;
-    for (std::size_t i = 0; i < stale_.size(); ++i) {
-      const std::int32_t slot = stale_[i];
+    for (const std::int32_t slot : stale_) {
+      if (built_ && !index_.contains(slot)) continue;
+      ++live;
       ScoreCache& sc = index_.entry(slot).score;
+      const Candidate& c = cand_[static_cast<std::size_t>(slot)];
+      SelectionKey key = sc.key;
+      if ((sc.stale & kTimingHalf) != 0) {
+        router_.score_timing(c.net, c.edge, key);
+        ++timing_count;
+      }
       if ((sc.stale & kDensityHalf) != 0) {
-        const Candidate& c = cand_[static_cast<std::size_t>(slot)];
         EdgeDensityParams* span =
             span_params_.data() + 2 * static_cast<std::size_t>(slot);
         if ((sc.stale & kDensitySpan) != 0) {
           router_.span_density(c.net, c.edge, span);
         }
-        router_.score_density(c.net, c.edge, span, target(i));
+        router_.score_density(c.net, c.edge, span, key);
         ++density_count;
       }
       sc.stale = 0;
-      if (built_ && key_compare(sc.key, keys_[i], router_.order_) != 0) {
-        sc.key = keys_[i];
+      if (!built_) {
+        sc.key = key;
+      } else if (key_compare(sc.key, key, router_.order_) != 0) {
+        sc.key = key;
         index_.update(slot);
         ++sifted;
       }
@@ -483,8 +453,7 @@ class GlobalRouter::Selection {
     metrics.rescored_density.add(density_count);
     metrics.score_miss.add(timing_count + density_count);
     metrics.sifted.add(sifted);
-    metrics.score_hit.add(static_cast<std::int64_t>(index_.size()) -
-                          static_cast<std::int64_t>(stale_.size()));
+    metrics.score_hit.add(static_cast<std::int64_t>(index_.size()) - live);
     stale_.clear();
   }
 
@@ -594,12 +563,10 @@ class GlobalRouter::Selection {
   std::vector<Span> spans_;
   std::vector<EdgeDensityParams> span_params_;  // 2 per slot (span_density)
   std::vector<std::int32_t> stale_;    // slots with a stale half, each once
-  std::vector<std::int32_t> timing_work_;  // indexes into stale_
-  std::vector<SelectionKey> keys_;  // re-filled keys, parallel to stale_ once built
 };
 
 void GlobalRouter::run_selection(
-    std::vector<Candidate> candidates, bool by_name, bool parallel,
+    std::vector<Candidate> candidates, bool by_name,
     const std::function<void(Candidate, const SelectionKey&, CommitEffects&)>&
         commit,
     std::int64_t* scanned) {
@@ -608,8 +575,7 @@ void GlobalRouter::run_selection(
   const std::vector<Candidate> audit_list =
       selection_audit_ ? candidates : std::vector<Candidate>{};
   Selection selection(*this, std::move(candidates), by_name);
-  parallel = parallel && !exec_->serial();
-  selection.refill(parallel);
+  selection.refill();
   CommitEffects fx;
   while (true) {
     if (scanned != nullptr) {
@@ -629,7 +595,7 @@ void GlobalRouter::run_selection(
     fx.moved.clear();
     commit(chosen, selection.key(slot), fx);
     selection.absorb(fx);
-    selection.refill(parallel);
+    selection.refill();
   }
 }
 
@@ -789,10 +755,9 @@ bool GlobalRouter::run_sharded_deletion(
         TimingAnalyzer::UpdateSlot& slot =
             slots[static_cast<std::size_t>(exec_->current_slot())];
         std::int64_t scanned = 0;
-        // The global loop's selection, minus the parallel re-fill —
-        // regions never nest.
+        // The global loop's selection over the shard's candidates.
         run_selection(
-            std::move(cand), /*by_name=*/true, /*parallel=*/false,
+            std::move(cand), /*by_name=*/true,
             [&](Candidate chosen, const SelectionKey& key, CommitEffects& fx) {
               log.push_back(CommitRec{chosen.net, chosen.edge, key});
               apply_delete(chosen.net, chosen.edge, &slot, fx);
@@ -939,7 +904,7 @@ void GlobalRouter::initial_routing(PhaseStats& stats) {
     return;
   }
   run_selection(
-      std::move(candidates), /*by_name=*/true, /*parallel=*/true,
+      std::move(candidates), /*by_name=*/true,
       [&](Candidate chosen, const SelectionKey&, CommitEffects& fx) {
         commit_delete(chosen.net, chosen.edge, stats, fx);
       },
@@ -952,7 +917,7 @@ void GlobalRouter::reduce_net_to_tree(NetId net, PhaseStats& stats) {
     candidates.push_back(Candidate{net, e});
   }
   run_selection(
-      std::move(candidates), /*by_name=*/false, /*parallel=*/true,
+      std::move(candidates), /*by_name=*/false,
       [&](Candidate chosen, const SelectionKey&, CommitEffects& fx) {
         commit_delete(chosen.net, chosen.edge, stats, fx);
       },
@@ -1093,12 +1058,52 @@ void GlobalRouter::improve_area(PhaseStats& stats) {
   order_ = saved;
 }
 
-void GlobalRouter::finish_phase(PhaseStats& stats) {
+void GlobalRouter::run_phase(const std::string& name, bool enabled,
+                             const std::function<void(PhaseStats&)>& body,
+                             RouteOutcome& outcome) {
+  PhaseStats stats;
+  stats.name = name;
+  ScopedSpan span(name, "phase");
+  const ExecStats exec_before = exec_->stats();
+  const StaStats sta_before = analyzer_->sta_stats();
+  const PathSearchStats path_before = path_engine_->stats();
+  Stopwatch watch;
+  if (enabled) body(stats);
+  stats.seconds = watch.seconds();
+  stats.exec_regions = exec_->stats().regions - exec_before.regions;
+  stats.exec_chunks = exec_->stats().chunks - exec_before.chunks;
+  const StaStats& sta = analyzer_->sta_stats();
+  stats.sta_updates = sta.incremental_updates - sta_before.incremental_updates;
+  stats.sta_dirty_vertices = sta.dirty_vertices - sta_before.dirty_vertices;
+  stats.sta_relaxations = sta.relaxations() - sta_before.relaxations();
+  const PathSearchStats path = path_engine_->stats();
+  stats.path_searches = path.searches - path_before.searches;
+  stats.path_pops = path.pops - path_before.pops;
+  stats.path_relaxations = path.relaxations - path_before.relaxations;
   stats.worst_margin_ps = analyzer_->constraint_count() > 0
                               ? analyzer_->worst_margin_ps()
                               : 0.0;
   stats.critical_delay_ps = delay_graph_->critical_delay_ps();
   stats.sum_max_density = density_->sum_max_density();
+  outcome.phases.push_back(std::move(stats));
+}
+
+void GlobalRouter::finish_outcome(RouteOutcome& outcome, bool refresh) {
+  double total_um = 0.0;
+  for (const NetId n : netlist_.nets()) {
+    BGR_CHECK_MSG(graphs_[n]->is_tree(), "net not reduced to a tree");
+    total_um += graphs_[n]->alive_length_um();
+    if (refresh) refresh_net_estimate(n);
+  }
+  if (refresh) analyzer_->update_all();
+  outcome.critical_delay_ps = delay_graph_->critical_delay_ps();
+  outcome.total_length_um = total_um;
+  outcome.worst_margin_ps =
+      analyzer_->constraint_count() > 0 ? analyzer_->worst_margin_ps() : 0.0;
+  outcome.violated_constraints =
+      static_cast<std::int32_t>(analyzer_->violated().size());
+  outcome.feed_cells_added = feed_cells_added_;
+  outcome.widen_pitches = widen_pitches_;
 }
 
 RouteOutcome GlobalRouter::refine(const IdVector<NetId, double>& extra_um) {
@@ -1112,51 +1117,15 @@ RouteOutcome GlobalRouter::refine(const IdVector<NetId, double>& extra_um) {
   analyzer_->update_all();
 
   RouteOutcome outcome;
-  auto run_phase = [&](const std::string& name, auto&& body, bool enabled) {
-    PhaseStats stats;
-    stats.name = name;
-    ScopedSpan span(name, "phase");
-    const ExecStats exec_before = exec_->stats();
-    const StaStats sta_before = analyzer_->sta_stats();
-    const PathSearchStats path_before = path_engine_->stats();
-    Stopwatch watch;
-    if (enabled) body(stats);
-    stats.seconds = watch.seconds();
-    stats.exec_regions = exec_->stats().regions - exec_before.regions;
-    stats.exec_chunks = exec_->stats().chunks - exec_before.chunks;
-    const StaStats& sta = analyzer_->sta_stats();
-    stats.sta_updates = sta.incremental_updates - sta_before.incremental_updates;
-    stats.sta_dirty_vertices = sta.dirty_vertices - sta_before.dirty_vertices;
-    stats.sta_relaxations = sta.relaxations() - sta_before.relaxations();
-    const PathSearchStats path = path_engine_->stats();
-    stats.path_searches = path.searches - path_before.searches;
-    stats.path_pops = path.pops - path_before.pops;
-    stats.path_relaxations = path.relaxations - path_before.relaxations;
-    finish_phase(stats);
-    outcome.phases.push_back(stats);
-  };
-  run_phase("refine_recover", [&](PhaseStats& s) { recover_violations(s); },
-            options_.use_constraints && options_.enable_violation_recovery);
-  run_phase("refine_delay", [&](PhaseStats& s) { improve_delay(s); },
-            options_.use_constraints && options_.enable_delay_improvement);
-  run_phase("refine_area", [&](PhaseStats& s) { improve_area(s); },
-            options_.enable_area_improvement);
-
-  double total_um = 0.0;
-  for (const NetId n : netlist_.nets()) {
-    BGR_CHECK(graphs_[n]->is_tree());
-    total_um += graphs_[n]->alive_length_um();
-    refresh_net_estimate(n);
-  }
-  analyzer_->update_all();
-  outcome.critical_delay_ps = delay_graph_->critical_delay_ps();
-  outcome.total_length_um = total_um;
-  outcome.worst_margin_ps =
-      analyzer_->constraint_count() > 0 ? analyzer_->worst_margin_ps() : 0.0;
-  outcome.violated_constraints =
-      static_cast<std::int32_t>(analyzer_->violated().size());
-  outcome.feed_cells_added = feed_cells_added_;
-  outcome.widen_pitches = widen_pitches_;
+  run_phase("refine_recover",
+            options_.use_constraints && options_.enable_violation_recovery,
+            [&](PhaseStats& s) { recover_violations(s); }, outcome);
+  run_phase("refine_delay",
+            options_.use_constraints && options_.enable_delay_improvement,
+            [&](PhaseStats& s) { improve_delay(s); }, outcome);
+  run_phase("refine_area", options_.enable_area_improvement,
+            [&](PhaseStats& s) { improve_area(s); }, outcome);
+  finish_outcome(outcome, /*refresh=*/true);
   return outcome;
 }
 
@@ -1164,43 +1133,12 @@ RouteOutcome GlobalRouter::reroute(const std::vector<NetId>& nets) {
   BGR_CHECK_MSG(run_state_ == RunState::kDone,
                 "reroute() requires a completed run()");
   RouteOutcome outcome;
-  PhaseStats stats;
-  stats.name = "eco_reroute";
-  ScopedSpan span(stats.name, "phase");
-  const ExecStats exec_before = exec_->stats();
-  const StaStats sta_before = analyzer_->sta_stats();
-  const PathSearchStats path_before = path_engine_->stats();
-  Stopwatch watch;
-  for (const NetId n : nets) {
-    reroute_net(n, stats);
-  }
-  stats.seconds = watch.seconds();
-  stats.exec_regions = exec_->stats().regions - exec_before.regions;
-  stats.exec_chunks = exec_->stats().chunks - exec_before.chunks;
-  const StaStats& sta = analyzer_->sta_stats();
-  stats.sta_updates = sta.incremental_updates - sta_before.incremental_updates;
-  stats.sta_dirty_vertices = sta.dirty_vertices - sta_before.dirty_vertices;
-  stats.sta_relaxations = sta.relaxations() - sta_before.relaxations();
-  const PathSearchStats path = path_engine_->stats();
-  stats.path_searches = path.searches - path_before.searches;
-  stats.path_pops = path.pops - path_before.pops;
-  stats.path_relaxations = path.relaxations - path_before.relaxations;
-  finish_phase(stats);
-  outcome.phases.push_back(stats);
-
-  double total_um = 0.0;
-  for (const NetId n : netlist_.nets()) {
-    BGR_CHECK(graphs_[n]->is_tree());
-    total_um += graphs_[n]->alive_length_um();
-  }
-  outcome.critical_delay_ps = delay_graph_->critical_delay_ps();
-  outcome.total_length_um = total_um;
-  outcome.worst_margin_ps =
-      analyzer_->constraint_count() > 0 ? analyzer_->worst_margin_ps() : 0.0;
-  outcome.violated_constraints =
-      static_cast<std::int32_t>(analyzer_->violated().size());
-  outcome.feed_cells_added = feed_cells_added_;
-  outcome.widen_pitches = widen_pitches_;
+  run_phase("eco_reroute", true,
+            [&](PhaseStats& stats) {
+              for (const NetId n : nets) reroute_net(n, stats);
+            },
+            outcome);
+  finish_outcome(outcome, /*refresh=*/false);
   return outcome;
 }
 
@@ -1250,55 +1188,23 @@ RouteOutcome GlobalRouter::run() {
   }
 
   RouteOutcome outcome;
-  auto run_phase = [&](const std::string& name, auto&& body, bool enabled) {
-    poll_cancel(name.c_str());
-    PhaseStats stats;
-    stats.name = name;
-    ScopedSpan span(name, "phase");
-    const ExecStats exec_before = exec_->stats();
-    const StaStats sta_before = analyzer_->sta_stats();
-    const PathSearchStats path_before = path_engine_->stats();
-    Stopwatch watch;
-    if (enabled) body(stats);
-    stats.seconds = watch.seconds();
-    stats.exec_regions = exec_->stats().regions - exec_before.regions;
-    stats.exec_chunks = exec_->stats().chunks - exec_before.chunks;
-    const StaStats& sta = analyzer_->sta_stats();
-    stats.sta_updates = sta.incremental_updates - sta_before.incremental_updates;
-    stats.sta_dirty_vertices = sta.dirty_vertices - sta_before.dirty_vertices;
-    stats.sta_relaxations = sta.relaxations() - sta_before.relaxations();
-    const PathSearchStats path = path_engine_->stats();
-    stats.path_searches = path.searches - path_before.searches;
-    stats.path_pops = path.pops - path_before.pops;
-    stats.path_relaxations = path.relaxations - path_before.relaxations;
-    finish_phase(stats);
-    outcome.phases.push_back(stats);
+  auto phase = [&](const char* name, bool enabled,
+                   const std::function<void(PhaseStats&)>& body) {
+    poll_cancel(name);
+    run_phase(name, enabled, body, outcome);
   };
-
-  run_phase("initial", [&](PhaseStats& s) { initial_routing(s); }, true);
-  run_phase("recover_violate", [&](PhaseStats& s) { recover_violations(s); },
-            options_.use_constraints && options_.enable_violation_recovery);
-  run_phase("improve_delay", [&](PhaseStats& s) { improve_delay(s); },
-            options_.use_constraints && options_.enable_delay_improvement);
-  run_phase("improve_area", [&](PhaseStats& s) { improve_area(s); },
-            options_.enable_area_improvement);
+  phase("initial", true, [&](PhaseStats& s) { initial_routing(s); });
+  phase("recover_violate",
+        options_.use_constraints && options_.enable_violation_recovery,
+        [&](PhaseStats& s) { recover_violations(s); });
+  phase("improve_delay",
+        options_.use_constraints && options_.enable_delay_improvement,
+        [&](PhaseStats& s) { improve_delay(s); });
+  phase("improve_area", options_.enable_area_improvement,
+        [&](PhaseStats& s) { improve_area(s); });
 
   // Final state: every routing graph is a tree.
-  double total_um = 0.0;
-  for (const NetId n : netlist_.nets()) {
-    BGR_CHECK_MSG(graphs_[n]->is_tree(), "net not reduced to a tree");
-    total_um += graphs_[n]->alive_length_um();
-    refresh_net_estimate(n);
-  }
-  analyzer_->update_all();
-  outcome.critical_delay_ps = delay_graph_->critical_delay_ps();
-  outcome.total_length_um = total_um;
-  outcome.worst_margin_ps =
-      analyzer_->constraint_count() > 0 ? analyzer_->worst_margin_ps() : 0.0;
-  outcome.violated_constraints =
-      static_cast<std::int32_t>(analyzer_->violated().size());
-  outcome.feed_cells_added = feed_cells_added_;
-  outcome.widen_pitches = widen_pitches_;
+  finish_outcome(outcome, /*refresh=*/true);
   run_state_ = RunState::kDone;
   return outcome;
 }

@@ -56,7 +56,9 @@ struct RouterOptions {
   /// the RouteOutcome — is bit-identical to the unsharded serial greedy at
   /// any thread count. Designs that form a single interaction component
   /// fall back to the unsharded loop automatically. Only the concurrent
-  /// initial-routing phase shards; `false` keeps the global loop.
+  /// initial-routing phase shards. `false` is a test hook: it keeps the
+  /// global loop, the oracle the shard battery and the fuzzer's
+  /// shard-divergence check compare the sharded loop against.
   bool shard_deletion = true;
   /// Improvement phases (§3.5).
   bool enable_violation_recovery = true;
@@ -70,8 +72,9 @@ struct RouterOptions {
   /// Incremental STA: after every net-estimate change, re-relax only the
   /// dirty cone of the net's wiring arcs instead of re-sweeping every
   /// touched constraint graph. Arrival times, margins, slacks — and hence
-  /// the RouteOutcome — are bit-identical either way; `false` keeps the
-  /// full re-sweeps of the original implementation.
+  /// the RouteOutcome — are bit-identical either way. `false` is a test
+  /// hook: the full re-sweeps of the original implementation, the oracle
+  /// the incremental-STA battery and bench compare against.
   bool incremental_sta = true;
   /// Tentative-tree path search engine (DESIGN.md §11). The default
   /// answers every query from a cached reference Dijkstra per graph by
@@ -89,10 +92,10 @@ struct RouterOptions {
   /// empty in production use.
   std::function<void(NetId, std::int32_t)> deletion_observer;
   /// Worker threads for the exec/ subsystem: per-net routing-graph
-  /// construction, candidate-edge criteria scoring, and the levelized STA
-  /// sweeps. 1 (the default) is the strict serial path; any N produces a
-  /// bit-identical RouteOutcome (see DESIGN.md, "Execution model &
-  /// determinism"). 0 means hardware concurrency.
+  /// construction, the sharded deletion workers and the per-constraint
+  /// full STA sweeps. 1 (the default) is the strict serial path; any N
+  /// produces a bit-identical RouteOutcome (see DESIGN.md, "Execution
+  /// model & determinism"). 0 means hardware concurrency.
   std::int32_t threads = 1;
   /// Co-tenancy (DESIGN.md §12): when set, the router's parallel regions
   /// run on this externally owned pool (plus the calling thread) instead
@@ -255,11 +258,10 @@ class GlobalRouter {
   /// deletion loops: while a candidate survives, select the index winner
   /// and hand it to `commit`, which applies the deletion and fills the
   /// effects the index then absorbs. `by_name` ranks key ties by net name
-  /// (multi-net loops); `parallel` lets timing re-fills fan out (never
-  /// inside a parallel region). `scanned`, when set, accumulates the live
+  /// (multi-net loops). `scanned`, when set, accumulates the live
   /// candidate count of every selection round.
   void run_selection(
-      std::vector<Candidate> candidates, bool by_name, bool parallel,
+      std::vector<Candidate> candidates, bool by_name,
       const std::function<void(Candidate, const SelectionKey&,
                                CommitEffects&)>& commit,
       std::int64_t* scanned);
@@ -286,7 +288,15 @@ class GlobalRouter {
   void recover_violations(PhaseStats& stats);
   void improve_delay(PhaseStats& stats);
   void improve_area(PhaseStats& stats);
-  void finish_phase(PhaseStats& stats);
+  /// Runs `body` (skipped unless `enabled`) as the pipeline phase `name`
+  /// and appends its PhaseStats to `outcome`: wall time, the exec/STA/
+  /// path-search activity inside it, and the end-of-phase state.
+  void run_phase(const std::string& name, bool enabled,
+                 const std::function<void(PhaseStats&)>& body,
+                 RouteOutcome& outcome);
+  /// Fills the outcome totals from the routed trees; `refresh` first
+  /// re-estimates every net and re-runs the full STA.
+  void finish_outcome(RouteOutcome& outcome, bool refresh);
   [[nodiscard]] NetId primary_of(NetId net) const;
   [[nodiscard]] bool timing_active_for(NetId net) const;
   void compute_net_budgets();

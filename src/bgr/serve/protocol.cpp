@@ -53,8 +53,6 @@ void parse_options(const JsonValue& node, JobRequest* out) {
       out->options.enable_violation_recovery = !off;
       out->options.enable_delay_improvement = !off;
       out->options.enable_area_improvement = !off;
-    } else if (key == "incremental_sta") {
-      out->options.incremental_sta = require_bool(value, "incremental_sta");
     } else if (key == "improvement_passes") {
       const std::int64_t passes = require_int(value, "improvement_passes");
       if (passes < 0 || passes > 64) {

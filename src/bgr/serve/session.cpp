@@ -134,7 +134,6 @@ std::uint64_t request_result_key(const JobRequest& request,
   fp.mix(static_cast<std::int32_t>(opt.use_delay_criteria));
   fp.mix(static_cast<std::int32_t>(opt.use_density_criteria));
   fp.mix(opt.improvement_passes);
-  fp.mix(static_cast<std::int32_t>(opt.incremental_sta));
   fp.mix(static_cast<std::int32_t>(request.verify));
   fp.mix(static_cast<std::int32_t>(request.want_route_text));
   fp.mix(static_cast<std::int32_t>(request.want_report));

@@ -13,10 +13,9 @@ namespace bgr {
 
 namespace {
 
-/// STA work totals. Like StaStats, every add happens outside parallel
-/// regions (update_all accounts for the whole sweep up front; propagate
-/// results are consumed on the calling thread), so the totals are a pure
-/// function of the design and options — semantic.
+/// STA work totals. Shard workers add to them from inside their region,
+/// but the set of updates that run is a function of the design and options
+/// alone and the adds commute, so the totals are semantic.
 struct StaMetrics {
   Counter& full_sweeps = MetricsRegistry::global().counter(
       "sta.full_sweeps", MetricScope::kSemantic);
@@ -98,9 +97,7 @@ TimingAnalyzer::TimingAnalyzer(DelayGraph& delay_graph,
     st.mask_size = static_cast<std::int64_t>(
         std::count(st.mask.begin(), st.mask.end(), true));
   }
-  if (incremental_ && !constraints_.empty()) {
-    propagator_ = std::make_unique<DirtyPropagator>(dag);
-  }
+  own_slot_ = std::make_unique<UpdateSlot>(*this);
   update_all();
 }
 
@@ -114,54 +111,16 @@ void TimingAnalyzer::refresh_margin(ConstraintId p) {
   margins_[p.index()] = constraints_[p.index()].limit_ps - critical;
 }
 
-void TimingAnalyzer::recompute(ConstraintId p, ExecContext* inner_exec) {
+void TimingAnalyzer::recompute(ConstraintId p) {
   ConstraintState& st = states_[p.index()];
-  st.lp =
-      delay_graph_->dag().longest_from(st.source_vertices, st.mask, inner_exec);
+  st.lp = delay_graph_->dag().longest_from(st.source_vertices, st.mask);
   refresh_margin(p);
   ++versions_[p.index()];
 }
 
 void TimingAnalyzer::update_for_net(NetId net) {
-  const auto& members = constraints_of_net_[net];
-  if (members.empty()) return;
-  if (!incremental_) {
-    // Usually one or two constraints: levelize within the sweep rather
-    // than fanning out across constraints.
-    for (const ConstraintId p : members) {
-      recompute(p, exec_);
-      ++stats_.full_sweeps;
-      stats_.full_vertices += states_[p.index()].mask_size;
-      sta_metrics().full_sweeps.add(1);
-      sta_metrics().full_vertices.add(states_[p.index()].mask_size);
-    }
-    return;
-  }
-  // Dirty-cone propagation: only the heads of the net's wiring arcs (the
-  // vertices whose pull reads the changed weights) seed the re-relaxation.
-  const Dag& dag = delay_graph_->dag();
-  seed_scratch_.clear();
-  for (const auto arc : delay_graph_->net_arcs(net)) {
-    seed_scratch_.push_back(dag.edge(arc).to);
-  }
-  for (const ConstraintId p : members) {
-    ConstraintState& st = states_[p.index()];
-    const DirtyPropagator::Result res = propagator_->propagate(
-        seed_scratch_, st.mask, st.is_source, st.lp, exec_);
-    ++stats_.incremental_updates;
-    stats_.dirty_seeds += res.seeds;
-    stats_.dirty_vertices += res.relaxed;
-    sta_metrics().incremental_updates.add(1);
-    sta_metrics().dirty_seeds.add(res.seeds);
-    sta_metrics().dirty_vertices.add(res.relaxed);
-    sta_metrics().dirty_cone.record(res.relaxed);
-    if (res.any_change) {
-      // Margin and downstream scores depend only on lp — untouched values
-      // mean the constraint (and its score-cache version) stays put.
-      refresh_margin(p);
-      ++versions_[p.index()];
-    }
-  }
+  update_for_net(net, *own_slot_);
+  absorb(*own_slot_);
 }
 
 TimingAnalyzer::UpdateSlot::UpdateSlot(const TimingAnalyzer& analyzer) {
@@ -175,7 +134,7 @@ void TimingAnalyzer::update_for_net(NetId net, UpdateSlot& slot) {
   if (members.empty()) return;
   if (!incremental_) {
     for (const ConstraintId p : members) {
-      recompute(p, /*inner_exec=*/nullptr);
+      recompute(p);
       ++slot.stats_.full_sweeps;
       slot.stats_.full_vertices += states_[p.index()].mask_size;
       sta_metrics().full_sweeps.add(1);
@@ -183,6 +142,8 @@ void TimingAnalyzer::update_for_net(NetId net, UpdateSlot& slot) {
     }
     return;
   }
+  // Dirty-cone propagation: only the heads of the net's wiring arcs (the
+  // vertices whose pull reads the changed weights) seed the re-relaxation.
   const Dag& dag = delay_graph_->dag();
   slot.seeds_.clear();
   for (const auto arc : delay_graph_->net_arcs(net)) {
@@ -191,7 +152,7 @@ void TimingAnalyzer::update_for_net(NetId net, UpdateSlot& slot) {
   for (const ConstraintId p : members) {
     ConstraintState& st = states_[p.index()];
     const DirtyPropagator::Result res = slot.propagator_->propagate(
-        slot.seeds_, st.mask, st.is_source, st.lp, /*exec=*/nullptr);
+        slot.seeds_, st.mask, st.is_source, st.lp);
     ++slot.stats_.incremental_updates;
     slot.stats_.dirty_seeds += res.seeds;
     slot.stats_.dirty_vertices += res.relaxed;
@@ -200,6 +161,8 @@ void TimingAnalyzer::update_for_net(NetId net, UpdateSlot& slot) {
     sta_metrics().dirty_vertices.add(res.relaxed);
     sta_metrics().dirty_cone.record(res.relaxed);
     if (res.any_change) {
+      // Margin and downstream scores depend only on lp — untouched values
+      // mean the constraint (and its score-cache version) stays put.
       refresh_margin(p);
       ++versions_[p.index()];
     }
@@ -226,16 +189,16 @@ void TimingAnalyzer::update_all() {
   }
   if (exec_ != nullptr && !exec_->serial() && n > 1) {
     // One chunk per constraint; each recompute writes only its own state
-    // and margin slot. Sweeps stay serial inside to avoid nested regions.
+    // and margin slot.
     parallel_for(
         *exec_, n,
         [&](std::int64_t i) {
-          recompute(ConstraintId{static_cast<std::int32_t>(i)}, nullptr);
+          recompute(ConstraintId{static_cast<std::int32_t>(i)});
         },
         /*grain=*/1);
     return;
   }
-  for (const ConstraintId p : constraints()) recompute(p, exec_);
+  for (const ConstraintId p : constraints()) recompute(p);
 }
 
 double TimingAnalyzer::worst_margin_ps() const {
@@ -309,7 +272,7 @@ std::vector<NetId> TimingAnalyzer::critical_path_nets(ConstraintId p) const {
   const Dag& dag = delay_graph_->dag();
   const double critical = critical_delay_ps(p);
   // ls(v): longest distance to any sink inside the mask.
-  const auto ls = dag.longest_to(st.sink_vertices, st.mask, exec_);
+  const auto ls = dag.longest_to(st.sink_vertices, st.mask);
   std::vector<NetId> out;
   for (const auto arc : st.net_arc_ids) {
     const Dag::Edge& e = dag.edge(arc);
@@ -342,7 +305,7 @@ IdVector<NetId, double> TimingAnalyzer::net_slacks() const {
   for (const ConstraintId p : constraints()) {
     const ConstraintState& st = states_[p.index()];
     const double limit = constraints_[p.index()].limit_ps;
-    const auto ls = dag.longest_to(st.sink_vertices, st.mask, exec_);
+    const auto ls = dag.longest_to(st.sink_vertices, st.mask);
     for (const auto arc : st.net_arc_ids) {
       const Dag::Edge& e = dag.edge(arc);
       const double lp_v = st.lp[static_cast<std::size_t>(e.from)];

@@ -38,9 +38,8 @@ struct DelayCriteria {
 class TimingAnalyzer {
  public:
   /// `exec` (optional, not owned) parallelizes update_all across
-  /// constraints and the longest-path sweeps within topological levels;
-  /// results are bit-identical to the serial analyzer for any thread
-  /// count. Must outlive the analyzer when given.
+  /// constraints; results are bit-identical to the serial analyzer for any
+  /// thread count. Must outlive the analyzer when given.
   ///
   /// `incremental` switches update_for_net from full per-constraint
   /// re-sweeps to dirty-cone propagation (DirtyPropagator): only the
@@ -75,16 +74,12 @@ class TimingAnalyzer {
     return nets_of_constraint_.at(p.index());
   }
 
-  /// Recomputes lp / critical delay / margin for every constraint touched
-  /// by this net (to be called after DelayGraph::set_net_cap).
-  void update_for_net(NetId net);
-
-  /// Scratch for one concurrent caller of the slot variant of
-  /// update_for_net: a private dirty-cone propagator, seed buffer and
-  /// StaStats accumulator. The sharded deletion loop gives every worker
-  /// its own slot; the workers' nets touch disjoint constraint sets by
-  /// construction, so the shared per-constraint arrays (lp, margins,
-  /// versions) are written without overlap.
+  /// Scratch for one caller of update_for_net: a private dirty-cone
+  /// propagator, seed buffer and StaStats accumulator. The sharded
+  /// deletion loop gives every worker its own slot; the workers' nets
+  /// touch disjoint constraint sets by construction, so the shared
+  /// per-constraint arrays (lp, margins, versions) are written without
+  /// overlap.
   class UpdateSlot {
    public:
     explicit UpdateSlot(const TimingAnalyzer& analyzer);
@@ -96,12 +91,16 @@ class TimingAnalyzer {
     StaStats stats_;
   };
 
-  /// Concurrent-caller variant of update_for_net: identical values and
-  /// version bumps, but every piece of mutable scratch lives in `slot` and
-  /// the sweeps stay strictly serial (no nested parallel regions).
-  /// Concurrent callers must touch disjoint constraint sets; fold the
-  /// slot's counters into sta_stats() with absorb() after joining.
+  /// Recomputes lp / critical delay / margin for every constraint touched
+  /// by this net (to be called after DelayGraph::set_net_cap). Every piece
+  /// of mutable scratch lives in `slot`, so callers with their own slots
+  /// may run concurrently as long as they touch disjoint constraint sets;
+  /// fold each slot's counters into sta_stats() with absorb() after
+  /// joining.
   void update_for_net(NetId net, UpdateSlot& slot);
+
+  /// update_for_net on the analyzer's own slot, absorbed at once.
+  void update_for_net(NetId net);
 
   /// Adds a slot's accumulated counters into sta_stats() and zeroes them.
   void absorb(UpdateSlot& slot);
@@ -170,9 +169,7 @@ class TimingAnalyzer {
     std::int64_t mask_size = 0;   // vertices of G_d(P), for sweep accounting
   };
 
-  /// `inner_exec` levelizes the longest-path sweep; pass nullptr when the
-  /// caller already parallelizes across constraints (no nested regions).
-  void recompute(ConstraintId p, ExecContext* inner_exec);
+  void recompute(ConstraintId p);
 
   /// Refreshes margins_[p] from the cached lp values of the constraint.
   void refresh_margin(ConstraintId p);
@@ -184,8 +181,7 @@ class TimingAnalyzer {
   std::vector<ConstraintState> states_;
   std::vector<double> margins_;
   std::vector<std::uint64_t> versions_;
-  std::unique_ptr<DirtyPropagator> propagator_;  // incremental mode only
-  std::vector<std::int32_t> seed_scratch_;
+  std::unique_ptr<UpdateSlot> own_slot_;  // serves update_for_net(net)
   StaStats stats_;
   IdVector<NetId, std::vector<ConstraintId>> constraints_of_net_;
   std::vector<std::vector<NetId>> nets_of_constraint_;

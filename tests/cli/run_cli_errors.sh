@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Regression for the checked-choice CLI parses: a typo'd --shard-deletion
-# mode must exit with the usage code (2) and the diagnostic must name the
-# flag, list every accepted value and echo the rejected one. The removed
-# engine flags must be unknown options, not silently accepted.
+# Regression for the checked CLI parses: a typo'd --log-format value must
+# exit with the usage code (2) and the diagnostic must name the flag, list
+# every accepted value and echo the rejected one. A flag whose value is
+# missing must name itself and report '<missing>'. The removed engine and
+# speed flags must be unknown options, not silently accepted.
 set -u
 
 cli="$1"
@@ -13,17 +14,17 @@ fail() {
   exit 1
 }
 
-out=$("$cli" @C1P1 --shard-deletion bogus 2>&1)
+out=$("$cli" @C1P1 --log-format bogus 2>&1)
 status=$?
-[ "$status" -eq 2 ] || fail "expected exit 2 for unknown mode, got $status"
+[ "$status" -eq 2 ] || fail "expected exit 2 for unknown format, got $status"
 case "$out" in
-  *"--shard-deletion"*) ;;
+  *"--log-format"*) ;;
   *) fail "diagnostic does not name the flag" ;;
 esac
-for mode in on off; do
+for format in text json; do
   case "$out" in
-    *"$mode"*) ;;
-    *) fail "diagnostic does not list mode '$mode'" ;;
+    *"$format"*) ;;
+    *) fail "diagnostic does not list format '$format'" ;;
   esac
 done
 case "$out" in
@@ -31,17 +32,22 @@ case "$out" in
   *) fail "diagnostic does not echo the rejected value" ;;
 esac
 
-# A missing value is rejected the same way, not read past argv.
-out=$("$cli" @C1P1 --shard-deletion 2>&1)
-status=$?
-[ "$status" -eq 2 ] || fail "expected exit 2 for missing value, got $status"
-case "$out" in
-  *"--shard-deletion"*"<missing>"*) ;;
-  *) fail "missing-value diagnostic does not name the flag" ;;
-esac
+# A missing value is rejected the same way, not read past argv — for a
+# choice flag and for a file flag alike.
+for flag in --log-format --metrics-out; do
+  out=$("$cli" @C1P1 "$flag" 2>&1)
+  status=$?
+  [ "$status" -eq 2 ] || fail "expected exit 2 for missing $flag value, got $status"
+  case "$out" in
+    *"$flag"*"<missing>"*) ;;
+    *) fail "missing-value diagnostic does not name $flag" ;;
+  esac
+done
 
-# The path-search engine is not a command-line choice any more.
-for args in "--path-search astar" "--lookahead map"; do
+# The path-search engine, the STA update style and the deletion sharding
+# are not command-line choices any more.
+for args in "--path-search astar" "--lookahead map" "--incremental-sta off" \
+            "--shard-deletion off"; do
   # shellcheck disable=SC2086  # split the flag from its value on purpose
   out=$("$cli" @C1P1 $args 2>&1)
   status=$?

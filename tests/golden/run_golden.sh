@@ -27,9 +27,8 @@ trap 'rm -f "$actual"' EXIT
 {
   echo "== lumped, incremental sta, 2 threads =="
   "$bgr_route" "$golden_dir/golden_design.txt" --threads 2 --verify | filter
-  echo "== rc, full sta, serial =="
-  "$bgr_route" "$golden_dir/golden_design.txt" --rc --incremental-sta off \
-      --threads 1 | filter
+  echo "== rc, serial =="
+  "$bgr_route" "$golden_dir/golden_design.txt" --rc --threads 1 | filter
 } > "$actual"
 
 if [ "${3:-}" = "--regen" ]; then

@@ -16,6 +16,7 @@ namespace {
 struct RunResultSnapshot {
   RouteOutcome outcome;
   std::vector<double> net_lengths_um;
+  std::int32_t shards = 0;  // initial-routing shard decomposition size
 };
 
 RunResultSnapshot route_design(Dataset design, RouterOptions options,
@@ -28,6 +29,7 @@ RunResultSnapshot route_design(Dataset design, RouterOptions options,
   for (const NetId n : design.netlist.nets()) {
     snap.net_lengths_um.push_back(router.net_length_um(n));
   }
+  snap.shards = router.shard_decomposition().shard_count();
   return snap;
 }
 
@@ -112,6 +114,33 @@ TEST(ParallelDeterminism, PaperPresetC1P1) {
   const auto serial = route_design(make_dataset("C1P1"), RouterOptions{}, 1);
   const auto parallel = route_design(make_dataset("C1P1"), RouterOptions{}, 4);
   expect_bit_identical(serial, parallel);
+}
+
+// Threads run only at the coarse sites (DESIGN.md §7): graph build and the
+// full STA sweeps before the first phase, and the shard workers inside
+// the initial phase. C3P1 forms one interaction component, so none of
+// its phases may open a parallel region at any thread count.
+TEST(ParallelDeterminism, PaperPresetC3P1OpensNoRegionInsideAnyPhase) {
+  const auto serial = route_design(make_dataset("C3P1"), RouterOptions{}, 1);
+  const auto parallel = route_design(make_dataset("C3P1"), RouterOptions{}, 4);
+  expect_bit_identical(serial, parallel);
+  ASSERT_LE(parallel.shards, 1);  // one component: the global loop runs
+  for (const PhaseStats& ph : parallel.outcome.phases) {
+    EXPECT_EQ(ph.exec_regions, 0) << ph.name;
+  }
+}
+
+// A block-structured design shards: the initial phase opens exactly one
+// region (one chunk per shard) and every later phase runs inline.
+TEST(ParallelDeterminism, BlockDesignOpensOnlyTheShardRegion) {
+  const CircuitSpec spec = testutil::shard_spec(3, 4);
+  const auto serial = route_with_threads(spec, RouterOptions{}, 1);
+  const auto parallel = route_with_threads(spec, RouterOptions{}, 4);
+  expect_bit_identical(serial, parallel);
+  ASSERT_GT(parallel.shards, 1);
+  for (const PhaseStats& ph : parallel.outcome.phases) {
+    EXPECT_EQ(ph.exec_regions, ph.name == "initial" ? 1 : 0) << ph.name;
+  }
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ void expect_clean(const Audited& a) {
 }
 
 // Every selection on 50 fuzz-sampled designs; every fifth seed also at 2
-// and 8 threads (parallel timing re-fills).
+// and 8 threads (the audit must hold whatever the thread count).
 TEST(SelectionIndexOracle, WinnerEqualsFullRescanOnSampledDesigns) {
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));

@@ -34,7 +34,6 @@ TEST(ServeProtocol, ParsesJobWithOptions) {
   const ParsedRequest parsed = parse_request_line(
       "{\"id\":\"j1\",\"dataset\":\"C1P1\",\"options\":{\"rc\":true,"
       "\"sequential\":true,\"improvement_passes\":3,"
-      "\"incremental_sta\":false,"
       "\"unconstrained\":true},\"verify\":true,\"route_text\":true,"
       "\"report\":true}");
   ASSERT_EQ(parsed.kind, ParsedRequest::Kind::kJob) << parsed.error;
@@ -43,7 +42,6 @@ TEST(ServeProtocol, ParsesJobWithOptions) {
   EXPECT_EQ(parsed.job.options.delay_model, DelayModel::kElmoreRC);
   EXPECT_FALSE(parsed.job.options.concurrent_initial);
   EXPECT_EQ(parsed.job.options.improvement_passes, 3);
-  EXPECT_FALSE(parsed.job.options.incremental_sta);
   EXPECT_FALSE(parsed.job.constrained);
   EXPECT_TRUE(parsed.job.verify);
   EXPECT_TRUE(parsed.job.want_route_text);
@@ -93,13 +91,16 @@ TEST(ServeProtocol, RejectsMalformedRequestsWithoutThrowing) {
 }
 
 TEST(ServeProtocol, RemovedEngineOptionsAreUnknown) {
-  // The path-search engine and its lookahead are not client knobs: a
-  // request naming them is rejected, not silently routed with defaults.
+  // The path-search engine, its lookahead and the STA update style are
+  // not client knobs: a request naming them is rejected, not silently
+  // routed with defaults.
   const char* cases[] = {
       "{\"id\":\"j\",\"dataset\":\"C1P1\","
       "\"options\":{\"path_search\":\"astar\"}}",
       "{\"id\":\"j\",\"dataset\":\"C1P1\","
       "\"options\":{\"lookahead\":\"map\"}}",
+      "{\"id\":\"j\",\"dataset\":\"C1P1\","
+      "\"options\":{\"incremental_sta\":false}}",
   };
   for (const char* line : cases) {
     const ParsedRequest parsed = parse_request_line(line);

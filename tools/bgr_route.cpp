@@ -7,15 +7,6 @@
 //     --rc                use the Elmore RC delay model extension
 //     --sequential        sequential (net-at-a-time) initial routing
 //     --no-improve        skip the §3.5 improvement phases
-//     --incremental-sta {on,off}
-//                         dirty-cone incremental arrival-time updates (on,
-//                         the default) or full per-constraint re-sweeps
-//                         (off, the original behavior); the routed result
-//                         is bit-identical either way
-//     --shard-deletion {on,off}
-//                         sharded concurrent edge deletion (on, the
-//                         default) or the single global loop (off);
-//                         the routed result is bit-identical either way
 //     --min-capacity-search
 //                         instead of routing once, binary-search the
 //                         minimum per-channel track capacity the design
@@ -66,7 +57,6 @@ void usage(std::FILE* out) {
   std::fprintf(out,
                "usage: bgr_route <design.txt | @C1P1> [--unconstrained] "
                "[--rc] [--sequential] [--no-improve] "
-               "[--incremental-sta on|off] [--shard-deletion on|off] "
                "[--min-capacity-search] "
                "[--threads N] "
                "[--repeat K] [--save-route FILE] [--save-design FILE] "
@@ -129,6 +119,15 @@ int main(int argc, char** argv) {
   std::string save_design_path;
   std::string metrics_out_path;
   std::string trace_out_path;
+  // The `--flag FILE` options, each with the path it fills.
+  auto file_option = [&](const std::string& arg) -> std::string* {
+    if (arg == "--svg") return &svg_path;
+    if (arg == "--save-route") return &save_route_path;
+    if (arg == "--save-design") return &save_design_path;
+    if (arg == "--metrics-out") return &metrics_out_path;
+    if (arg == "--trace-out") return &trace_out_path;
+    return nullptr;
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--unconstrained") {
@@ -137,16 +136,6 @@ int main(int argc, char** argv) {
       options.delay_model = DelayModel::kElmoreRC;
     } else if (arg == "--sequential") {
       options.concurrent_initial = false;
-    } else if (arg == "--incremental-sta" || arg == "--shard-deletion") {
-      bool& enabled = arg == "--incremental-sta" ? options.incremental_sta
-                                                 : options.shard_deletion;
-      const char* value = i + 1 < argc ? argv[++i] : nullptr;
-      std::size_t choice = 0;
-      if (!cli::parse_choice_option(arg.c_str(), value, {"on", "off"},
-                                    &choice)) {
-        return cli::kExitUsage;
-      }
-      enabled = choice == 0;
     } else if (arg == "--min-capacity-search") {
       capacity_search = true;
     } else if (arg == "--no-improve") {
@@ -173,18 +162,17 @@ int main(int argc, char** argv) {
       run_verify = true;
     } else if (arg == "--stats") {
       print_stats_flag = true;
-    } else if (arg == "--svg" && i + 1 < argc) {
-      svg_path = argv[++i];
-    } else if (arg == "--save-route" && i + 1 < argc) {
-      save_route_path = argv[++i];
-    } else if (arg == "--save-design" && i + 1 < argc) {
-      save_design_path = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out_path = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out_path = argv[++i];
-    } else if (arg == "--log-format" && i + 1 < argc) {
-      if (!cli::parse_log_format_option(argv[++i])) return cli::kExitUsage;
+    } else if (std::string* path = file_option(arg)) {
+      if (i + 1 >= argc) return cli::missing_value(arg.c_str());
+      *path = argv[++i];
+    } else if (arg == "--log-format") {
+      const char* value = i + 1 < argc ? argv[++i] : nullptr;
+      std::size_t format = 0;
+      if (!cli::parse_choice_option("--log-format", value, {"text", "json"},
+                                    &format)) {
+        return cli::kExitUsage;
+      }
+      set_log_format(format == 0 ? LogFormat::kText : LogFormat::kJson);
     } else if (arg == "--help") {
       usage(stdout);
       return cli::kExitOk;

@@ -30,6 +30,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "bgr/common/log.hpp"
 #include "bgr/exec/exec_context.hpp"
 #include "bgr/serve/server.hpp"
 #include "cli_common.hpp"
@@ -89,9 +90,12 @@ int main(int argc, char** argv) {
       if (value == nullptr) return cli::missing_value("--trace-out");
       config.trace_out = value;
     } else if (std::strcmp(arg, "--log-format") == 0) {
-      if (!cli::parse_log_format_option(next_value())) {
+      std::size_t format = 0;
+      if (!cli::parse_choice_option("--log-format", next_value(),
+                                    {"text", "json"}, &format)) {
         return cli::kExitUsage;
       }
+      set_log_format(format == 0 ? LogFormat::kText : LogFormat::kJson);
     } else if (std::strcmp(arg, "--help") == 0) {
       usage(stdout);
       return cli::kExitOk;

@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 
-#include "bgr/common/log.hpp"
 #include "bgr/common/parse.hpp"
 
 namespace bgr::cli {
@@ -74,23 +73,6 @@ inline constexpr int kExitUsage = 2;
   return false;
 }
 
-/// `--log-format {text,json}` — every tool that logs offers it with the
-/// same spelling.
-[[nodiscard]] inline bool parse_log_format_option(const char* text) {
-  const std::string fmt = text != nullptr ? text : "";
-  if (fmt == "text") {
-    bgr::set_log_format(bgr::LogFormat::kText);
-    return true;
-  }
-  if (fmt == "json") {
-    bgr::set_log_format(bgr::LogFormat::kJson);
-    return true;
-  }
-  std::fprintf(stderr, "error: --log-format must be text or json, got '%s'\n",
-               text != nullptr ? text : "<missing>");
-  return false;
-}
-
 /// Uniform unknown-option diagnostic; `usage` writes the tool's usage
 /// text to the given stream. Returns kExitUsage for `return` chaining.
 inline int unknown_option(const char* arg, void (*usage)(std::FILE*)) {
@@ -99,9 +81,10 @@ inline int unknown_option(const char* arg, void (*usage)(std::FILE*)) {
   return kExitUsage;
 }
 
-/// Uniform missing-value diagnostic for `--flag VALUE` options.
+/// Uniform missing-value diagnostic for `--flag VALUE` options, worded
+/// like the checked parses above. Returns kExitUsage for `return` chaining.
 inline int missing_value(const char* flag) {
-  std::fprintf(stderr, "error: %s expects a value\n", flag);
+  std::fprintf(stderr, "error: %s expects a value, got '<missing>'\n", flag);
   return kExitUsage;
 }
 
