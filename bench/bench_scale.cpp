@@ -1,12 +1,14 @@
 // Scale bench over the block-structured presets (DESIGN.md §13): routes a
-// 10k/100k/1M-cell preset through the sharded deletion pipeline and gates
-// two floors:
+// 10k/100k/1M-cell preset through the sharded deletion pipeline, runs the
+// channel stage and the signoff verifier (DESIGN.md §18) on the result,
+// and gates two floors and one check:
 //   - throughput: routed nets per second of routing wall time;
 //   - parallelism: the deletion loop's work-based speedup at 8 workers,
 //     computed from the deterministic per-shard scan counters via an LPT
 //     schedule (total scan work / makespan). Wall time on a loaded CI box
 //     is noise; the scan counters are bit-identical on every run, so the
-//     ratio gate never flakes.
+//     ratio gate never flakes;
+//   - signoff: RouteVerifier finds no error in the routed result.
 // Results land in BENCH_scale.json (schema: tools/check_run_report.py).
 //
 //   bench_scale [preset] [nets-per-second-floor]
@@ -21,9 +23,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "bgr/channel/channel_router.hpp"
 #include "bgr/common/stopwatch.hpp"
 #include "bgr/route/router.hpp"
 #include "bgr/route/shard.hpp"
+#include "bgr/verify/verifier.hpp"
 
 namespace {
 
@@ -80,6 +84,23 @@ int main(int argc, char** argv) {
               route_s, nets_per_s, outcome.critical_delay_ps,
               outcome.total_length_um / 1000.0, outcome.violated_constraints);
 
+  ChannelStage channel(router);
+  channel.run();
+  Stopwatch verify_watch;
+  const std::vector<VerifyIssue> issues =
+      RouteVerifier(router, &channel).run();
+  const double verify_s = verify_watch.seconds();
+  std::int64_t verify_errors = 0;
+  for (const VerifyIssue& issue : issues) {
+    if (issue.severity != VerifyIssue::Severity::kError) continue;
+    if (verify_errors++ < 5) {
+      std::printf("verify ERROR [%s]: %s\n", issue.check.c_str(),
+                  issue.message.c_str());
+    }
+  }
+  std::printf("verified in %.3fs: %lld errors, %zu findings\n", verify_s,
+              static_cast<long long>(verify_errors), issues.size());
+
   const ShardDecomposition& dec = router.shard_decomposition();
   std::int64_t scan_work = 0;
   std::int64_t commits = 0;
@@ -131,15 +152,18 @@ int main(int argc, char** argv) {
   const bool sharded = dec.shard_count() > 1;
   const bool fast_enough = nets_per_s >= floor_nets_per_s;
   const bool parallel_enough = ratio8 >= 2.0;
+  const bool verified = verify_errors == 0;
   JsonValue& result = report.section("result");
   result.set("nets_per_second_floor", floor_nets_per_s);
   result.set("parallel_ratio_8", ratio8);
   result.set("sharded", sharded);
-  result.set("pass", sharded && fast_enough && parallel_enough);
+  result.set("verify_errors", verify_errors);
+  result.set("pass", sharded && fast_enough && parallel_enough && verified);
   // Wall-clock data lives under "run" so --compare-semantic strips it.
   JsonValue& run_out = report.section("run");
   run_out.set("seconds", route_s);
   run_out.set("nets_per_second", nets_per_s);
+  run_out.set("verify_s", verify_s);
   run_out.set("threads", static_cast<std::int64_t>(options.threads));
   report.add_metrics(MetricsRegistry::global());
   bench::save_report(report, "BENCH_scale.json");
@@ -157,6 +181,11 @@ int main(int argc, char** argv) {
   if (!parallel_enough) {
     std::printf("FAIL: 8-worker work ratio %.2fx under the 2x floor\n",
                 ratio8);
+    return 1;
+  }
+  if (!verified) {
+    std::printf("FAIL: the verifier found %lld errors in the routed result\n",
+                static_cast<long long>(verify_errors));
     return 1;
   }
   std::printf("PASS\n");

@@ -101,6 +101,10 @@ class ChannelStage {
       DelayModel model = DelayModel::kLumpedC) const;
 
  private:
+  /// Test access (tests/test_verifier.cpp): edits plans_ to inject the
+  /// faults the signoff track checks must find.
+  friend struct ChannelPlanEditor;
+
   void extract(const GlobalRouter& router);
   void assign_tracks(ChannelPlan& plan) const;
 

@@ -20,17 +20,30 @@ struct VerifyIssue {
 
 /// Independent signoff checks over a routed design. The verifier rebuilds
 /// every invariant from primary data (netlist, placement, final routing
-/// graphs, channel plans) rather than trusting the router's bookkeeping:
+/// graphs, channel plans) rather than trusting the router's bookkeeping.
+/// One gather pass walks each net's alive edges once and feeds the first
+/// four checks plus the trunk buckets of the track check. Costs below, for
+/// V and E the vertices and edges of all routing graphs, F the feed
+/// crossings, C channels of width W and S channel segments of width ≤ w:
 ///
-///   tree            every net is a connected spanning tree of its terminals
-///   geometry        every edge lies inside the chip and uses valid channels
-///   feedthrough     vertical crossings sit on unblocked assigned columns,
-///                   and no two nets share a feedthrough column in a row
+///   tree            every net is a connected spanning tree of its
+///                   terminals, with no dangling non-terminal leaf — O(V+E)
+///   geometry        every edge lies inside the chip and uses valid
+///                   channels — O(E)
+///   feedthrough     vertical crossings sit on unblocked assigned columns
+///                   (all w columns of a w-pitch net), and no two nets
+///                   share a feedthrough column in a row — O(F·w·log F)
 ///   density         the incremental density map equals a fresh recount
+///                   — O(Σ trunk spans + C·W)
 ///   differential    pair members are exact mirrors one column apart
-///   tracks          channel segments do not overlap on their tracks and
-///                   cover every trunk edge
-///   pitch           w-pitch nets have w adjacent usable columns reserved
+///                   — O(E)
+///   tracks          channel segments do not overlap on their tracks (a
+///                   per-track sweep, O(S·w·log S + overlapping pairs)) and
+///                   cover every trunk edge (a net-sorted segment index per
+///                   channel, O(E + S·log S))
+///
+/// Findings come out grouped by check in the order above; within a check
+/// in net order, then edge order (tracks: channel, then segment order).
 class RouteVerifier {
  public:
   RouteVerifier(const GlobalRouter& router, const ChannelStage* channel)
@@ -47,13 +60,6 @@ class RouteVerifier {
   }
 
  private:
-  void check_trees(std::vector<VerifyIssue>& out) const;
-  void check_geometry(std::vector<VerifyIssue>& out) const;
-  void check_feedthroughs(std::vector<VerifyIssue>& out) const;
-  void check_density(std::vector<VerifyIssue>& out) const;
-  void check_differential(std::vector<VerifyIssue>& out) const;
-  void check_tracks(std::vector<VerifyIssue>& out) const;
-
   const GlobalRouter& router_;
   const ChannelStage* channel_;  // track checks skipped when null
 };

@@ -3,10 +3,14 @@
 # exit with the usage code (2) and the diagnostic must name the flag, list
 # every accepted value and echo the rejected one. A flag whose value is
 # missing must name itself and report '<missing>'. The removed engine and
-# speed flags must be unknown options, not silently accepted.
+# speed flags must be unknown options, not silently accepted. Every flag
+# the source's header comment documents must appear in --help.
+#
+#   run_cli_errors.sh <bgr_route binary> <tools/bgr_route.cpp>
 set -u
 
 cli="$1"
+source_file="$2"
 fail() {
   echo "FAIL: $1" >&2
   echo "--- output ---" >&2
@@ -55,6 +59,20 @@ for args in "--path-search astar" "--lookahead map" "--incremental-sta off" \
   case "$out" in
     *"unknown option '${args%% *}'"*) ;;
     *) fail "'$args' is not reported as an unknown option" ;;
+  esac
+done
+
+# --help lists every flag of the header comment (the leading // block).
+out=$("$cli" --help 2>&1)
+status=$?
+[ "$status" -eq 0 ] || fail "expected exit 0 for --help, got $status"
+flags=$(sed -n '/^\/\//!q;p' "$source_file" | grep -o -- '--[a-z][a-z-]*' |
+        sort -u)
+[ -n "$flags" ] || fail "no flags found in the header comment of $source_file"
+for flag in $flags; do
+  case "$out" in
+    *"[$flag]"* | *"[$flag "*) ;;
+    *) fail "--help does not list $flag" ;;
   esac
 done
 

@@ -1,14 +1,33 @@
+// Signoff verifier tests: clean results on routed designs, the chip
+// geometry helpers, and an oracle battery (DESIGN.md §18) that compares
+// RouteVerifier::run() with the quadratic reference checks it replaced,
+// finding for finding, on clean plans and after injected track faults.
 #include "bgr/verify/verifier.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <sstream>
 
 #include "bgr/channel/geometry.hpp"
+#include "bgr/common/rng.hpp"
+#include "bgr/fuzz/spec_sampler.hpp"
 #include "bgr/metrics/experiment.hpp"
 #include "test_util.hpp"
 
 namespace bgr {
+
+/// Friend of ChannelStage: gives the oracle battery write access to the
+/// channel plans so it can corrupt them.
+struct ChannelPlanEditor {
+  static std::vector<ChannelPlan>& plans(ChannelStage& stage) {
+    return stage.plans_;
+  }
+};
+
 namespace {
 
 struct RoutedFixture {
@@ -19,13 +38,415 @@ struct RoutedFixture {
 
   explicit RoutedFixture(std::uint64_t seed,
                          RouterOptions options = RouterOptions{})
-      : ds(generate_circuit(testutil::small_spec(seed))),
+      : RoutedFixture(testutil::small_spec(seed), options) {}
+
+  RoutedFixture(const CircuitSpec& spec, RouterOptions options,
+                ChannelOptions channel_options = {})
+      : ds(generate_circuit(spec)),
         nl(ds.netlist),
         router(nl, ds.placement, ds.tech, ds.constraints, options),
-        channel((void(router.run()), router)) {
+        channel((void(router.run()), router), channel_options) {
     channel.run();
   }
 };
+
+// ---------------------------------------------------------------------------
+// Reference: the verifier's checks as they were before the gather pass —
+// each walks every net's alive edges on its own, and check_tracks walks
+// them once per channel and scans all segment pairs. Kept verbatim as the
+// oracle; it is quadratic, so it runs on test-sized designs only.
+
+void add(std::vector<VerifyIssue>& out, VerifyIssue::Severity severity,
+         const std::string& check, const std::string& message) {
+  out.push_back(VerifyIssue{severity, check, message});
+}
+
+struct ReferenceVerifier {
+  const GlobalRouter& router_;
+  const ChannelStage* channel_;
+
+  std::vector<VerifyIssue> run() const {
+    std::vector<VerifyIssue> out;
+    check_trees(out);
+    check_geometry(out);
+    check_feedthroughs(out);
+    check_density(out);
+    check_differential(out);
+    if (channel_ != nullptr) check_tracks(out);
+    return out;
+  }
+
+  void check_trees(std::vector<VerifyIssue>& out) const {
+    const Netlist& nl = router_.analyzer().delay_graph().netlist();
+    for (const NetId n : nl.nets()) {
+      const RoutingGraph& g = router_.net_graph(n);
+      if (!g.graph().connects(g.terminal_vertices())) {
+        add(out, VerifyIssue::Severity::kError, "tree",
+            "net " + nl.net(n).name + " terminals disconnected");
+        continue;
+      }
+      if (g.graph().alive_edge_count() != g.graph().alive_vertex_count() - 1) {
+        add(out, VerifyIssue::Severity::kError, "tree",
+            "net " + nl.net(n).name + " is not a tree (edges " +
+                std::to_string(g.graph().alive_edge_count()) + ", vertices " +
+                std::to_string(g.graph().alive_vertex_count()) + ")");
+      }
+      // Every leaf must be a terminal (no dangling wire).
+      for (std::int32_t v = 0; v < g.graph().vertex_count(); ++v) {
+        if (!g.graph().vertex_alive(v)) continue;
+        if (g.graph().degree(v) <= 1 &&
+            g.vertex_info(v).kind != RouteVertexKind::kTerminal) {
+          add(out, VerifyIssue::Severity::kWarning, "tree",
+              "net " + nl.net(n).name + " has a dangling branch at vertex " +
+                  std::to_string(v));
+        }
+      }
+    }
+  }
+
+  void check_geometry(std::vector<VerifyIssue>& out) const {
+    const Netlist& nl = router_.analyzer().delay_graph().netlist();
+    const Placement& pl = router_.placement();
+    for (const NetId n : nl.nets()) {
+      const RoutingGraph& g = router_.net_graph(n);
+      for (const auto e : g.alive_edges()) {
+        const RouteEdgeInfo& info = g.edge_info(e);
+        const bool channel_ok =
+            info.channel >= 0 && info.channel < pl.channel_count();
+        const bool span_ok = !info.span.empty() && info.span.lo >= 0 &&
+                             info.span.hi < pl.width();
+        if (!channel_ok || !span_ok) {
+          std::ostringstream oss;
+          oss << "net " << nl.net(n).name << " edge " << e << " at channel "
+              << info.channel << " span [" << info.span.lo << ","
+              << info.span.hi << "] outside the chip";
+          add(out, VerifyIssue::Severity::kError, "geometry", oss.str());
+        }
+      }
+    }
+  }
+
+  void check_feedthroughs(std::vector<VerifyIssue>& out) const {
+    const Netlist& nl = router_.analyzer().delay_graph().netlist();
+    const Placement& pl = router_.placement();
+    std::map<std::pair<std::int32_t, std::int32_t>, NetId> owner;
+    for (const NetId n : nl.nets()) {
+      const Net& net = nl.net(n);
+      const RoutingGraph& g = router_.net_graph(n);
+      for (const auto e : g.alive_edges()) {
+        const RouteEdgeInfo& info = g.edge_info(e);
+        if (info.kind != RouteEdgeKind::kFeed) continue;
+        const std::int32_t row = info.channel;  // crossing row == lower channel
+        for (std::int32_t k = 0; k < net.pitch_width; ++k) {
+          const std::int32_t col = info.span.lo + k;
+          if (pl.column_blocked(RowId{row}, col)) {
+            add(out, VerifyIssue::Severity::kError, "feedthrough",
+                "net " + net.name + " crosses row " + std::to_string(row) +
+                    " at blocked column " + std::to_string(col));
+          }
+          const auto key = std::make_pair(row, col);
+          const auto it = owner.find(key);
+          const NetId primary =
+              net.is_differential() && !net.diff_primary ? net.diff_partner : n;
+          if (it != owner.end() && it->second != primary &&
+              it->second != n) {
+            // A differential shadow one column right of its primary is legal.
+            const Net& other = nl.net(it->second);
+            const bool paired = other.is_differential() &&
+                                (other.diff_partner == n ||
+                                 other.diff_partner == primary);
+            if (!paired) {
+              add(out, VerifyIssue::Severity::kError, "feedthrough",
+                  "nets " + other.name + " and " + net.name +
+                      " share feedthrough column " + std::to_string(col) +
+                      " in row " + std::to_string(row));
+            }
+          } else {
+            owner[key] = primary;
+          }
+        }
+      }
+    }
+  }
+
+  void check_density(std::vector<VerifyIssue>& out) const {
+    const Netlist& nl = router_.analyzer().delay_graph().netlist();
+    const DensityMap& incremental = router_.density();
+    DensityMap fresh(router_.placement().channel_count(),
+                     router_.placement().width());
+    for (const NetId n : nl.nets()) {
+      const RoutingGraph& g = router_.net_graph(n);
+      for (const auto e : g.alive_edges()) {
+        const RouteEdgeInfo& info = g.edge_info(e);
+        if (!info.is_trunk()) continue;
+        fresh.add_total(info.channel, info.span, nl.net(n).pitch_width);
+      }
+    }
+    for (std::int32_t c = 0; c < fresh.channel_count(); ++c) {
+      for (std::int32_t x = 0; x < fresh.width(); ++x) {
+        if (incremental.total_at(c, x) != fresh.total_at(c, x)) {
+          add(out, VerifyIssue::Severity::kError, "density",
+              "density mismatch at channel " + std::to_string(c) + " column " +
+                  std::to_string(x) + ": incremental " +
+                  std::to_string(incremental.total_at(c, x)) + " vs recount " +
+                  std::to_string(fresh.total_at(c, x)));
+          return;  // one detailed finding is enough
+        }
+      }
+    }
+  }
+
+  void check_differential(std::vector<VerifyIssue>& out) const {
+    const Netlist& nl = router_.analyzer().delay_graph().netlist();
+    for (const NetId n : nl.nets()) {
+      const Net& net = nl.net(n);
+      if (!net.is_differential() || !net.diff_primary) continue;
+      const RoutingGraph& a = router_.net_graph(n);
+      const RoutingGraph& b = router_.net_graph(net.diff_partner);
+      if (a.graph().edge_count() != b.graph().edge_count()) {
+        add(out, VerifyIssue::Severity::kError, "differential",
+            "pair " + net.name + " graphs not homogeneous");
+        continue;
+      }
+      for (std::int32_t e = 0; e < a.graph().edge_count(); ++e) {
+        if (a.graph().edge_alive(e) != b.graph().edge_alive(e)) {
+          add(out, VerifyIssue::Severity::kError, "differential",
+              "pair " + net.name + " diverged at edge " + std::to_string(e));
+          break;
+        }
+        if (a.graph().edge_alive(e) &&
+            (a.edge_info(e).span.lo + 1 != b.edge_info(e).span.lo ||
+             a.edge_info(e).channel != b.edge_info(e).channel)) {
+          add(out, VerifyIssue::Severity::kError, "differential",
+              "pair " + net.name + " not mirrored at edge " + std::to_string(e));
+          break;
+        }
+      }
+    }
+  }
+
+  void check_tracks(std::vector<VerifyIssue>& out) const {
+    const Netlist& nl = router_.analyzer().delay_graph().netlist();
+    for (std::int32_t c = 0; c < channel_->channel_count(); ++c) {
+      const ChannelPlan& plan = channel_->plan(c);
+      // No overlaps.
+      for (std::size_t i = 0; i < plan.segments.size(); ++i) {
+        const ChannelSegment& a = plan.segments[i];
+        if (a.track < 1 || a.track + a.width - 1 > plan.tracks) {
+          add(out, VerifyIssue::Severity::kError, "tracks",
+              "segment of net " + nl.net(a.net).name + " outside channel " +
+                  std::to_string(c));
+        }
+        for (std::size_t j = i + 1; j < plan.segments.size(); ++j) {
+          const ChannelSegment& b = plan.segments[j];
+          const bool tracks_overlap =
+              a.track < b.track + b.width && b.track < a.track + a.width;
+          if (tracks_overlap && a.span.overlaps(b.span)) {
+            add(out, VerifyIssue::Severity::kError, "tracks",
+                "nets " + nl.net(a.net).name + " and " + nl.net(b.net).name +
+                    " overlap in channel " + std::to_string(c));
+          }
+        }
+      }
+      // Coverage of every trunk edge.
+      for (const NetId n : nl.nets()) {
+        const RoutingGraph& g = router_.net_graph(n);
+        for (const auto e : g.alive_edges()) {
+          const RouteEdgeInfo& info = g.edge_info(e);
+          if (!info.is_trunk() || info.channel != c) continue;
+          bool covered = false;
+          for (const ChannelSegment& seg : plan.segments) {
+            covered = covered || (seg.net == n && seg.span.contains(info.span));
+          }
+          if (!covered) {
+            add(out, VerifyIssue::Severity::kError, "tracks",
+                "trunk of net " + nl.net(n).name + " in channel " +
+                    std::to_string(c) + " not covered by any segment");
+          }
+        }
+      }
+    }
+  }
+};
+
+// ---------------------------------------------------------------------------
+// Fault injection on the channel plans.
+
+enum class Fault {
+  kDropSegment,      // a trunk loses its only covering segment
+  kOntoNeighbour,    // a segment moves onto an overlapping segment's track
+  kPastTracks,       // a segment's track lies beyond plan.tracks
+  kRelabelNet,       // a segment claims another net
+  kShrinkSpan,       // a segment no longer reaches its last trunk
+};
+constexpr Fault kFaults[] = {Fault::kDropSegment, Fault::kOntoNeighbour,
+                             Fault::kPastTracks, Fault::kRelabelNet,
+                             Fault::kShrinkSpan};
+
+const char* fault_name(Fault f) {
+  switch (f) {
+    case Fault::kDropSegment: return "drop-segment";
+    case Fault::kOntoNeighbour: return "onto-neighbour";
+    case Fault::kPastTracks: return "past-tracks";
+    case Fault::kRelabelNet: return "relabel-net";
+    case Fault::kShrinkSpan: return "shrink-span";
+  }
+  return "?";
+}
+
+/// The first segment on another track whose span overlaps segment `i`'s
+/// (segs.size() when there is none).
+std::size_t neighbour(const std::vector<ChannelSegment>& segs, std::size_t i) {
+  for (std::size_t j = 0; j < segs.size(); ++j) {
+    if (segs[j].track != segs[i].track && segs[j].span.overlaps(segs[i].span)) {
+      return j;
+    }
+  }
+  return segs.size();
+}
+
+/// Applies `fault` to a segment chosen by `rng`; false when the plans
+/// hold no segment the fault applies to.
+bool inject(std::vector<ChannelPlan>& plans, Fault fault, std::int32_t nets,
+            Rng& rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> sites;  // (channel, seg)
+  for (std::size_t c = 0; c < plans.size(); ++c) {
+    const auto& segs = plans[c].segments;
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      // A segment spanning two or more columns carries a trunk edge; a
+      // one-column segment may only join vertical connections.
+      bool ok = fault == Fault::kPastTracks || segs[i].span.length() >= 2;
+      if (fault == Fault::kOntoNeighbour) ok = neighbour(segs, i) < segs.size();
+      if (ok) sites.emplace_back(c, i);
+    }
+  }
+  if (sites.empty()) return false;
+  const auto [c, i] = sites[static_cast<std::size_t>(
+      rng.uniform(0, static_cast<std::int64_t>(sites.size()) - 1))];
+  ChannelPlan& plan = plans[c];
+  ChannelSegment& seg = plan.segments[i];
+  switch (fault) {
+    case Fault::kDropSegment:
+      plan.segments.erase(plan.segments.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+      break;
+    case Fault::kOntoNeighbour:
+      seg.track = plan.segments[neighbour(plan.segments, i)].track;
+      break;
+    case Fault::kPastTracks:
+      seg.track = plan.tracks + static_cast<std::int32_t>(rng.uniform(0, 2));
+      seg.track = std::max(seg.track, plan.tracks - seg.width + 2);
+      break;
+    case Fault::kRelabelNet:
+      seg.net = NetId{(seg.net.value() + 1 +
+                       static_cast<std::int32_t>(rng.uniform(0, nets - 2))) %
+                      nets};
+      break;
+    case Fault::kShrinkSpan:
+      if (rng.uniform(0, 1) == 0) {
+        --seg.span.hi;
+      } else {
+        ++seg.span.lo;
+      }
+      break;
+  }
+  return true;
+}
+
+void expect_same(const std::vector<VerifyIssue>& got,
+                 const std::vector<VerifyIssue>& want,
+                 const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].severity, want[k].severity) << where << " finding " << k;
+    EXPECT_EQ(got[k].check, want[k].check) << where << " finding " << k;
+    EXPECT_EQ(got[k].message, want[k].message) << where << " finding " << k;
+  }
+}
+
+/// Compares run() with the reference on the clean plans, after each
+/// single fault, and after a few random faults stacked together; returns
+/// how many single faults of each kind were injected.
+std::array<int, std::size(kFaults)> check_against_reference(
+    RoutedFixture& f, const std::string& name) {
+  std::array<int, std::size(kFaults)> injected{};
+  SCOPED_TRACE(name);
+  const RouteVerifier verifier(f.router, &f.channel);
+  const ReferenceVerifier reference{f.router, &f.channel};
+  const auto clean = verifier.run();
+  expect_same(clean, reference.run(), "clean");
+  EXPECT_FALSE(RouteVerifier::has_errors(clean));
+  expect_same(RouteVerifier(f.router, nullptr).run(),
+              ReferenceVerifier{f.router, nullptr}.run(), "no channel stage");
+
+  std::vector<ChannelPlan>& plans = ChannelPlanEditor::plans(f.channel);
+  const std::vector<ChannelPlan> original = plans;
+  const std::int32_t nets = f.nl.net_count();
+  Rng rng(static_cast<std::uint64_t>(nets) * 7919U + plans.size());
+  for (std::size_t k = 0; k < std::size(kFaults); ++k) {
+    const Fault fault = kFaults[k];
+    for (int trial = 0; trial < 2; ++trial) {
+      plans = original;
+      if (!inject(plans, fault, nets, rng)) continue;
+      ++injected[k];
+      const std::string where =
+          std::string(fault_name(fault)) + " #" + std::to_string(trial);
+      const auto found = verifier.run();
+      expect_same(found, reference.run(), where);
+      EXPECT_TRUE(RouteVerifier::has_errors(found)) << where;
+    }
+  }
+  for (int trial = 0; trial < 3; ++trial) {
+    plans = original;
+    const int count = static_cast<int>(rng.uniform(2, 6));
+    for (int k = 0; k < count; ++k) {
+      const Fault fault = kFaults[rng.uniform(
+          0, static_cast<std::int64_t>(std::size(kFaults)) - 1)];
+      (void)inject(plans, fault, nets, rng);
+    }
+    expect_same(verifier.run(), reference.run(),
+                "stacked #" + std::to_string(trial));
+  }
+  plans = original;
+  return injected;
+}
+
+TEST(VerifierOracle, SampledSpecs) {
+  constexpr TrackAlgorithm kAlgorithms[] = {
+      TrackAlgorithm::kLeftEdge, TrackAlgorithm::kConstrainedLeftEdge,
+      TrackAlgorithm::kDoglegLeftEdge};
+  std::array<int, std::size(kFaults)> injected{};
+  for (std::uint64_t seed = 1; seed <= 21; ++seed) {
+    ChannelOptions channel_options;
+    channel_options.algorithm = kAlgorithms[seed % 3];
+    RoutedFixture f(sample_spec(seed), RouterOptions{}, channel_options);
+    const auto counts =
+        check_against_reference(f, "sample_spec(" + std::to_string(seed) + ")");
+    for (std::size_t k = 0; k < counts.size(); ++k) injected[k] += counts[k];
+  }
+  // Every fault kind found a site somewhere in the battery.
+  for (std::size_t k = 0; k < injected.size(); ++k) {
+    EXPECT_GT(injected[k], 0) << fault_name(kFaults[k]);
+  }
+}
+
+TEST(VerifierOracle, ShardedDesign) {
+  RoutedFixture f(testutil::shard_spec(41, 3), RouterOptions{});
+  EXPECT_GT(f.router.shard_decomposition().shard_count(), 1);
+  check_against_reference(f, "shard_spec(41, 3)");
+}
+
+TEST(VerifierOracle, DifferentialPairs) {
+  CircuitSpec spec = testutil::small_spec(43);
+  spec.diff_pairs = 5;
+  RoutedFixture f(spec, RouterOptions{});
+  std::int32_t pairs = 0;
+  for (const NetId n : f.nl.nets()) {
+    pairs += f.nl.net(n).is_differential() && f.nl.net(n).diff_primary ? 1 : 0;
+  }
+  EXPECT_GT(pairs, 0);
+  check_against_reference(f, "differential");
+}
 
 TEST(Verifier, CleanOnRoutedDesign) {
   RoutedFixture f(301);

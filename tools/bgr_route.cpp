@@ -60,7 +60,8 @@ void usage(std::FILE* out) {
                "[--min-capacity-search] "
                "[--threads N] "
                "[--repeat K] [--save-route FILE] [--save-design FILE] "
-               "[--skew] [--metrics-out FILE] [--trace-out FILE] "
+               "[--skew] [--map] [--svg FILE] [--verify] [--stats] "
+               "[--metrics-out FILE] [--trace-out FILE] "
                "[--log-format text|json] [--help]\n");
 }
 
@@ -187,6 +188,7 @@ int main(int argc, char** argv) {
                                       : load_design(input);
     };
 
+    if (!trace_out_path.empty()) Trace::global().enable();
     if (capacity_search) {
       MetricsRegistry::global().reset();
       Dataset d = load();
@@ -217,6 +219,10 @@ int main(int argc, char** argv) {
             .save(metrics_out_path);
         std::printf("run report written to %s\n", metrics_out_path.c_str());
       }
+      if (!trace_out_path.empty()) {
+        Trace::global().save(trace_out_path);
+        std::printf("trace written to %s\n", trace_out_path.c_str());
+      }
       return cli::kExitOk;
     }
 
@@ -229,7 +235,6 @@ int main(int argc, char** argv) {
     double delay = 0.0;
     double best_seconds = 0.0;
     double last_seconds = 0.0;
-    if (!trace_out_path.empty()) Trace::global().enable();
     for (int run = 0; run < repeat; ++run) {
       // Counters reset per repetition so --metrics-out reports the final
       // run alone, keeping the semantic section comparable across runs.
@@ -304,6 +309,10 @@ int main(int argc, char** argv) {
       make_run_report(*router, *channel, outcome, info).save(metrics_out_path);
       std::printf("run report written to %s\n", metrics_out_path.c_str());
     }
+    // Signoff runs before the trace is saved so that its span is in it;
+    // the findings are printed in their usual place below.
+    std::vector<VerifyIssue> issues;
+    if (run_verify) issues = RouteVerifier(*router, channel.get()).run();
     if (!trace_out_path.empty()) {
       Trace::global().save(trace_out_path);
       std::printf("trace written to %s\n", trace_out_path.c_str());
@@ -326,8 +335,6 @@ int main(int argc, char** argv) {
       print_stats(std::cout, collect_stats(*router, *channel));
     }
     if (run_verify) {
-      const RouteVerifier verifier(*router, channel.get());
-      const auto issues = verifier.run();
       if (issues.empty()) {
         std::printf("verify: clean (no findings)\n");
       }

@@ -57,11 +57,13 @@ ROUTE_SEMANTIC_METRICS = (
     "shard.nets",
 )
 # The scale bench (bench_scale) routes a block-structured preset and
-# records the deletion loop's shard decomposition alongside throughput.
+# records the deletion loop's shard decomposition alongside throughput,
+# plus the signoff verifier's error count and wall time on the result.
 SCALE_SECTIONS = ("design", "route", "shards", "result", "run")
 SCALE_SHARD_FIELDS = ("count", "scan_work", "commits", "lpt")
 SCALE_RESULT_FIELDS = ("nets_per_second_floor", "parallel_ratio_8",
-                       "sharded", "pass")
+                       "sharded", "verify_errors", "pass")
+SCALE_RUN_FIELDS = ("seconds", "nets_per_second", "verify_s")
 # The capacity bench (bench_capacity / bgr_route --min-capacity-search)
 # records the binary search's full probe transcript.
 CAPACITY_SECTIONS = ("design", "options", "capacity", "run")
@@ -176,6 +178,12 @@ def check_report(report, path):
         for field in SCALE_RESULT_FIELDS:
             if field not in result:
                 fail(f"{path}: result.{field} missing")
+        for field in SCALE_RUN_FIELDS:
+            if field not in report["run"]:
+                fail(f"{path}: run.{field} missing")
+        if result["verify_errors"] != 0 and result["pass"]:
+            fail(f"{path}: result.pass with {result['verify_errors']} "
+                 f"verify errors")
         # The decomposition's counters must be self-consistent with the
         # registry: shard.components counts one increment per sharded run.
         if shards["count"] >= 0 and shards["scan_work"] < shards["commits"]:
